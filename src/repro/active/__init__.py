@@ -11,7 +11,6 @@ from .advanced import (
     QueryByCommittee,
     information_density,
 )
-from .batch import RankedBatchSelector, select_ranked_batch
 from .baselines import EqualAppSelector, ProctorModel, RandomSelector
 from .learner import ActiveLearner
 from .loop import ALResult, queries_to_reach, run_active_learning
@@ -36,8 +35,6 @@ __all__ = [
     "StreamDecision",
     "ThresholdController",
     "information_density",
-    "RankedBatchSelector",
-    "select_ranked_batch",
     "ActiveLearner",
     "EqualAppSelector",
     "Oracle",

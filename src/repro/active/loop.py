@@ -86,7 +86,6 @@ def run_active_learning(
     healthy_label: object = HEALTHY_LABEL,
     eval_every: int = 1,
     oracle_noise: float = 0.0,
-    bin_cache: bool | str = "auto",
     warm_start: bool | str = False,
     refresh_fraction: float = 0.25,
     random_state: int | np.random.Generator | None = None,
@@ -113,13 +112,6 @@ def run_active_learning(
     eval_every:
         Evaluate metrics every k-th query (curves stay aligned via
         ``n_labeled``); 1 reproduces the paper's per-query curves.
-    bin_cache:
-        Cross-refit bin cache. ``"auto"`` (default) activates for
-        estimators that train from bin codes (a ``splitter="hist"``
-        forest): seed + pool are quantile-binned **once** up front, every
-        refit row-stacks cached codes, and each queried sample's codes
-        are looked up instead of recomputed. ``True`` forces it (raises
-        if the estimator has no ``fit_binned``), ``False`` disables.
     warm_start:
         Incremental refits. ``"auto"`` activates when the bin cache is on
         and the estimator supports ``refit`` (a ``splitter="hist"``
@@ -162,18 +154,13 @@ def run_active_learning(
         estimator.fit_unlabeled(X_pool)
         clone_fn = clone_with_representation
 
-    if bin_cache not in (True, False, "auto"):
-        raise ValueError(f"bin_cache must be True/False/'auto', got {bin_cache!r}")
-    use_cache = bin_cache is True or (
-        bin_cache == "auto"
-        and getattr(estimator, "splitter", None) == "hist"
-        and hasattr(estimator, "fit_binned")
+    # cross-refit bin cache, on for estimators that train from bin codes
+    # (a splitter="hist" forest): seed + pool are quantile-binned once up
+    # front, every refit row-stacks cached codes, and each queried
+    # sample's codes are looked up instead of recomputed
+    use_cache = getattr(estimator, "splitter", None) == "hist" and hasattr(
+        estimator, "fit_binned"
     )
-    if bin_cache is True and not hasattr(estimator, "fit_binned"):
-        raise TypeError(
-            f"bin_cache=True needs an estimator with fit_binned; "
-            f"{type(estimator).__name__} has none"
-        )
     binner = seed_codes = pool_codes = None
     if use_cache:
         from ..mlcore.binning import DEFAULT_MAX_BINS, Binner
@@ -196,8 +183,8 @@ def run_active_learning(
     if warm_start is True:
         if not use_cache:
             raise TypeError(
-                "warm_start=True needs the bin cache; pass bin_cache=True "
-                "or use a hist-splitter estimator"
+                "warm_start=True needs the bin cache; use a hist-splitter "
+                "estimator with fit_binned"
             )
         if not hasattr(estimator, "refit"):
             raise TypeError(

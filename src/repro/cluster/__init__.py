@@ -9,7 +9,6 @@ contribute healthy samples).
 from .job import Job
 from .simulator import ClusterSim, JobPlacement
 from .topology import VOLTA_TOPOLOGY, SwitchTopology, contention_factors
-from .workload import WorkloadSpec, generate_stream
 
 __all__ = [
     "ClusterSim",
@@ -18,6 +17,4 @@ __all__ = [
     "SwitchTopology",
     "VOLTA_TOPOLOGY",
     "contention_factors",
-    "WorkloadSpec",
-    "generate_stream",
 ]

@@ -2,7 +2,6 @@
 
 from .annotation import AnnotationSession, MetricDeviation, MetricHighlighter
 from .config import MODEL_FAMILIES, FrameworkConfig, default_model_params
-from .detection import AnomalyDetector, DetectionResult
 from .framework import ALBADross, Diagnosis, build_model, table4_grid
 from .monitor import DriftMonitor, DriftReport
 from .persistence import load_framework, save_framework
@@ -12,8 +11,6 @@ __all__ = [
     "AnnotationSession",
     "MetricDeviation",
     "MetricHighlighter",
-    "AnomalyDetector",
-    "DetectionResult",
     "Diagnosis",
     "DriftMonitor",
     "DriftReport",

@@ -29,7 +29,7 @@ Two execution modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -290,7 +290,6 @@ def build_dataset(
     config: SystemConfig,
     method: str = "mvts",
     rng: int | np.random.Generator | None = None,
-    map_fn: Callable[..., Iterable[np.ndarray]] | None = None,
     n_jobs: int | None = None,
     backend: str = "auto",
 ) -> tuple[FeatureDataset, FeatureExtractor]:
@@ -304,11 +303,10 @@ def build_dataset(
     """
     if n_jobs is None:
         runs = generate_runs(config, rng)
-        extractor = FeatureExtractor(config.catalog, method=method, map_fn=map_fn)
+        extractor = FeatureExtractor(config.catalog, method=method)
         return extractor.fit_transform(runs), extractor
     corpus = generate_corpus(config, rng, n_jobs=n_jobs, backend=backend)
     extractor = FeatureExtractor(
-        config.catalog, method=method, map_fn=map_fn, n_jobs=n_jobs,
-        backend=backend,
+        config.catalog, method=method, n_jobs=n_jobs, backend=backend
     )
     return extractor.fit_transform(corpus), extractor

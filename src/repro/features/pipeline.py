@@ -27,7 +27,7 @@ cost of the ~hundreds of kernels is paid once per *corpus*, not once per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -190,7 +190,7 @@ def batched_feature_rows(
     of numpy/scipy dispatches over the whole group.
 
     A run too short to survive trimming raises the same ``ValueError`` as
-    the per-run path (``preprocess_run`` checks post-trim length before
+    ``preprocess_run`` on that run alone (it checks post-trim length before
     touching the data, and every run in a group shares one length).
     """
     extract = _EXTRACTORS[method][0]
@@ -273,6 +273,10 @@ class FeatureExtractor:
     Accepts either a ``Sequence[RunRecord]`` or a packed
     :class:`~repro.telemetry.corpus.RunCorpus`; record lists are packed
     into a corpus up front so both entry points share one code path.
+    Runs must carry the extractor's metric catalog: packed runs whose
+    non-empty ``metric_names`` differ from ``catalog.names`` (or a record
+    list that cannot pack) raise ``ValueError`` rather than being
+    featurized under the wrong feature names.
     Extraction is **run-batched**: runs of equal length are stacked into
     one ``(T, B*M)`` panel and preprocessed + featurized in a single
     kernel pass (:func:`batched_feature_rows`), amortizing the fixed
@@ -298,10 +302,6 @@ class FeatureExtractor:
         ``"mvts"`` (48 features/metric) or ``"tsfresh"`` (84/metric).
     trim_frac:
         Head/tail trim fractions passed to :func:`preprocess_run`.
-    map_fn:
-        Optional parallel map (e.g. :meth:`repro.parallel.Executor.map`)
-        used to spread per-run extraction over processes (legacy hook;
-        prefer ``n_jobs``, which ships packed chunks instead of records).
     n_jobs:
         Workers for chunk-wise extraction; ``None`` or 1 keeps
         extraction serial and in-process.
@@ -321,7 +321,6 @@ class FeatureExtractor:
         catalog: MetricCatalog,
         method: str = "mvts",
         trim_frac: tuple[float, float] = (0.08, 0.06),
-        map_fn: Callable[..., Iterable[np.ndarray]] | None = None,
         n_jobs: int | None = None,
         backend: str = "auto",
         max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS,
@@ -333,13 +332,11 @@ class FeatureExtractor:
         self.catalog = catalog
         self.method = method
         self.trim_frac = trim_frac
-        self.map_fn = map_fn
         self.n_jobs = n_jobs
         self.backend = backend
         self.max_panel_elems = max_panel_elems
-        self._extract, per_metric_names = _EXTRACTORS[method]
         self._all_names = [
-            f"{m}::{f}" for m in catalog.names for f in per_metric_names
+            f"{m}::{f}" for m in catalog.names for f in _EXTRACTORS[method][1]
         ]
         self.keep_mask_: np.ndarray | None = None
 
@@ -349,13 +346,12 @@ class FeatureExtractor:
         state.setdefault("backend", "auto")
         state.setdefault("max_panel_elems", DEFAULT_MAX_PANEL_ELEMS)
         state.pop("_executor", None)  # pre-shm extractors owned a pool
+        # extractors pickled with the removed per-run hook carry its keys
+        state.pop("map_fn", None)
+        state.pop("_extract", None)
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
-    def _featurize_one(self, run: RunRecord) -> np.ndarray:
-        clean = preprocess_run(run.data, self.catalog.counter_mask, self.trim_frac)
-        return self._extract(clean)
-
     def _featurize_corpus(self, corpus: RunCorpus) -> np.ndarray:
         n_jobs = self.n_jobs or 1
         if n_jobs <= 1 or len(corpus) == 1:
@@ -397,20 +393,15 @@ class FeatureExtractor:
         return np.vstack(executor.map(worker, chunks))
 
     def _featurize_all(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:
-        if isinstance(runs, RunCorpus):
-            return self._featurize_corpus(runs)
-        if self.map_fn is not None:
-            # legacy hook: caller owns the parallel map, per-run tasks
-            return np.vstack(list(self.map_fn(self._featurize_one, runs)))
-        try:
-            # pack record lists up front: serving micro-batches and
-            # serial callers get the run-batched kernel pass too, and
-            # parallel chunks ship as flat buffers
-            corpus = RunCorpus.from_records(list(runs))
-        except ValueError:
-            # unpackable lists (empty, or records disagreeing on the
-            # metric catalog) keep the historical per-run behavior
-            return np.vstack([self._featurize_one(r) for r in runs])
+        # pack record lists up front: serving micro-batches and serial
+        # callers get the run-batched kernel pass too, and parallel chunks
+        # ship as flat buffers (raises on empty or mixed-catalog lists)
+        corpus = runs if isinstance(runs, RunCorpus) else RunCorpus.from_records(list(runs))
+        if corpus.metric_names and corpus.metric_names != self.catalog.names:
+            raise ValueError(
+                "runs were collected with a different metric catalog than "
+                "the extractor's; their features would be misnamed"
+            )
         return self._featurize_corpus(corpus)
 
     def fit_transform(self, runs: Sequence[RunRecord] | RunCorpus) -> FeatureDataset:

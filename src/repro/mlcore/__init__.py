@@ -10,12 +10,6 @@ stratified splitting / K-fold CV / grid search, and the paper's metrics
 from .autoencoder import Autoencoder
 from .base import BaseEstimator, ClassifierMixin, clone
 from .binning import BinnedDataset, Binner
-from .calibration import (
-    TemperatureScaler,
-    expected_calibration_error,
-    reliability_curve,
-)
-from .dummy import MajorityClassifier, StratifiedRandomClassifier
 from .feature_selection import SelectKBest, chi2_scores
 from .forest import RandomForestClassifier
 from .gbm import LGBMClassifier
@@ -56,12 +50,9 @@ __all__ = [
     "LabelEncoder",
     "LogisticRegression",
     "MLPClassifier",
-    "MajorityClassifier",
     "MinMaxScaler",
     "RandomForestClassifier",
     "SelectKBest",
-    "StratifiedRandomClassifier",
-    "TemperatureScaler",
     "StratifiedKFold",
     "accuracy_score",
     "anomaly_miss_rate",
@@ -71,7 +62,6 @@ __all__ = [
     "clone",
     "confusion_matrix",
     "cross_val_score",
-    "expected_calibration_error",
     "f1_score",
     "false_alarm_rate",
     "learning_curve",
@@ -79,6 +69,5 @@ __all__ = [
     "precision_recall_f1",
     "precision_score",
     "recall_score",
-    "reliability_curve",
     "train_test_split",
 ]

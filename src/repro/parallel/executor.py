@@ -242,7 +242,7 @@ class Executor:
 
     def __getstate__(self) -> dict:
         # a live pool holds locks and OS handles; callers pickle objects
-        # that reference their executor (e.g. a bound map_fn), so ship the
+        # that reference their executor (e.g. a bound Executor.map), so ship the
         # configuration only — the copy restarts its pool lazily
         state = self.__dict__.copy()
         state["_pool"] = None

@@ -39,61 +39,6 @@ class TestLoopBinCache:
         assert r1.queried_labels == r2.queried_labels
         assert np.array_equal(r1.f1, r2.f1)
 
-    def test_exact_estimator_unaffected_by_auto(self, problem):
-        # bin_cache="auto" must leave the exact path byte-for-byte alone
-        Xs, ys, Xp, yp, Xt, yt = problem
-        exact = RandomForestClassifier(n_estimators=10, max_depth=6, random_state=3)
-        kw = dict(n_queries=8, random_state=5)
-        r_auto = run_active_learning(exact, "uncertainty", Xs, ys, Xp, yp, Xt, yt, **kw)
-        r_off = run_active_learning(
-            exact, "uncertainty", Xs, ys, Xp, yp, Xt, yt, bin_cache=False, **kw
-        )
-        assert r_auto.queried_labels == r_off.queried_labels
-        assert np.array_equal(r_auto.f1, r_off.f1)
-
-    def test_cache_reaches_comparable_f1(self, problem):
-        Xs, ys, Xp, yp, Xt, yt = problem
-        kw = dict(n_queries=15, random_state=5)
-        cached = run_active_learning(
-            _hist_rf(), "uncertainty", Xs, ys, Xp, yp, Xt, yt, **kw
-        )
-        uncached = run_active_learning(
-            _hist_rf(), "uncertainty", Xs, ys, Xp, yp, Xt, yt,
-            bin_cache=False, **kw
-        )
-        assert abs(cached.final_f1 - uncached.final_f1) < 0.25
-
-    def test_true_requires_fit_binned(self, problem):
-        Xs, ys, Xp, yp, Xt, yt = problem
-
-        class Plain:
-            def get_params(self):
-                return {}
-
-            def fit(self, X, y):
-                self.c_ = np.unique(y)
-                return self
-
-            def predict_proba(self, X):
-                return np.full((len(X), len(self.c_)), 1.0 / len(self.c_))
-
-            def predict(self, X):
-                return np.full(len(X), self.c_[0])
-
-        with pytest.raises(TypeError, match="fit_binned"):
-            run_active_learning(
-                Plain(), "uncertainty", Xs, ys, Xp, yp, Xt, yt,
-                n_queries=2, bin_cache=True, random_state=0,
-            )
-
-    def test_bad_bin_cache_value(self, problem):
-        Xs, ys, Xp, yp, Xt, yt = problem
-        with pytest.raises(ValueError, match="bin_cache"):
-            run_active_learning(
-                _hist_rf(), "uncertainty", Xs, ys, Xp, yp, Xt, yt,
-                bin_cache="yes",
-            )
-
 
 class TestLearnerBinCache:
     def test_teach_appends_cached_codes(self, problem):

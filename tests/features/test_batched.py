@@ -61,6 +61,16 @@ def _mixed_records(catalog, lengths, seed=0, missing_rate=0.02):
     return records
 
 
+def _with_names(record, data, metric_names):
+    """A copy of ``record`` carrying other data columns and metric names."""
+    return RunRecord(
+        app=record.app, input_deck=record.input_deck,
+        node_count=record.node_count, node_id=record.node_id,
+        anomaly=record.anomaly, intensity=record.intensity,
+        data=data, metric_names=metric_names,
+    )
+
+
 def _per_run_reference(corpus, counter_mask, method):
     """The historical path: one preprocess + extract call per run."""
     extract = _EXTRACT[method]
@@ -227,8 +237,8 @@ class TestErrorContracts:
 class TestEntryPoints:
     @pytest.mark.parametrize("method", ["mvts", "tsfresh"])
     def test_record_list_equals_corpus(self, catalog, method):
-        """Satellite: the map_fn-less record-list path routes through the
-        batched corpus path — both entry points, identical matrices."""
+        """The record-list path routes through the batched corpus path —
+        both entry points, identical matrices."""
         records = _mixed_records(catalog, [64, 96, 64, 80], seed=6)
         corpus = RunCorpus.from_records(records)
         a = FeatureExtractor(catalog, method=method).fit_transform(records)
@@ -237,14 +247,18 @@ class TestEntryPoints:
         assert a.feature_names == b.feature_names
         assert np.array_equal(a.labels, b.labels)
 
-    def test_record_list_equals_legacy_map_fn_path(self, catalog):
-        """The per-run map_fn hook and the batched default agree bitwise."""
+    @pytest.mark.parametrize("method", ["mvts", "tsfresh"])
+    def test_record_list_equals_per_run_oracle(self, catalog, method):
+        """Featurizing each record on its own, then applying the learned
+        drop mask, gives the batched matrix bit for bit."""
         records = _mixed_records(catalog, [64, 96, 64], seed=7)
-        batched = FeatureExtractor(catalog, method="mvts").fit_transform(records)
-        legacy = FeatureExtractor(catalog, method="mvts", map_fn=map).fit_transform(
-            records
-        )
-        assert np.array_equal(batched.X, legacy.X)
+        fe = FeatureExtractor(catalog, method=method)
+        batched = fe.fit_transform(records)
+        oracle = np.vstack([
+            _EXTRACT[method](preprocess_run(r.data, catalog.counter_mask))
+            for r in records
+        ])
+        assert np.array_equal(batched.X, oracle[:, fe.keep_mask_])
 
     def test_transform_reuses_batched_path(self, catalog):
         records = _mixed_records(catalog, [64, 96, 64, 96], seed=8)
@@ -254,20 +268,31 @@ class TestEntryPoints:
         b = fe.transform(RunCorpus.from_records(records[2:]))
         assert np.array_equal(a.X, b.X)
 
-    def test_heterogeneous_record_list_falls_back_per_run(self, catalog):
-        """Records disagreeing on metric names cannot pack — the per-run
-        fallback keeps the historical behavior instead of erroring."""
+    def test_heterogeneous_record_list_is_rejected(self, catalog):
+        """Records disagreeing on metric names cannot pack, so the list
+        is refused instead of featurized under one catalog's names."""
         records = _mixed_records(catalog, [64, 64], seed=9)
         renamed = list(records[1].metric_names)
         renamed[0] = "rogue_metric"
-        records[1] = RunRecord(
-            app=records[1].app, input_deck=records[1].input_deck,
-            node_count=records[1].node_count, node_id=records[1].node_id,
-            anomaly=records[1].anomaly, intensity=records[1].intensity,
-            data=records[1].data, metric_names=renamed,
-        )
-        ds = FeatureExtractor(catalog, method="mvts").fit_transform(records)
-        assert ds.X.shape[0] == 2
+        records[1] = _with_names(records[1], records[1].data, renamed)
+        with pytest.raises(ValueError, match="metric names"):
+            FeatureExtractor(catalog, method="mvts").fit_transform(records)
+
+    def test_permuted_catalog_is_rejected(self, catalog):
+        """Runs collected under a column-permuted catalog carry the same
+        names in another order: both entry points refuse them."""
+        records = _mixed_records(catalog, [64, 64, 96], seed=11)
+        perm = np.random.default_rng(11).permutation(len(catalog.names))
+        names = [catalog.names[j] for j in perm]
+        permuted = [_with_names(r, r.data[:, perm], names) for r in records]
+        fe = FeatureExtractor(catalog, method="mvts")
+        with pytest.raises(ValueError, match="metric catalog"):
+            fe.fit_transform(permuted)
+        with pytest.raises(ValueError, match="metric catalog"):
+            fe.fit_transform(RunCorpus.from_records(permuted))
+        fe.fit_transform(records)
+        with pytest.raises(ValueError, match="metric catalog"):
+            fe.transform(permuted)
 
 
 class TestParallelParity:

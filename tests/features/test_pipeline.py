@@ -151,11 +151,27 @@ class TestFeatureExtractor:
 
     def test_parallel_map_gives_identical_results(self, tiny_config):
         from repro.datasets.generate import generate_runs
-        from repro.parallel import Executor
 
         runs = generate_runs(tiny_config, rng=2)[:10]
         serial = FeatureExtractor(tiny_config.catalog).fit_transform(runs)
-        parallel = FeatureExtractor(
-            tiny_config.catalog, map_fn=Executor(n_workers=2).map
-        ).fit_transform(runs)
-        assert np.allclose(serial.X, parallel.X)
+        parallel = FeatureExtractor(tiny_config.catalog, n_jobs=2).fit_transform(runs)
+        assert np.array_equal(serial.X, parallel.X)
+
+    def test_stale_pickle_with_map_fn_loads_and_featurizes(self, tiny_config):
+        """Extractors pickled while ``map_fn`` existed still load, drop the
+        stale key, and featurize bit for bit like before."""
+        import pickle
+
+        from repro.datasets.generate import generate_runs
+
+        runs = generate_runs(tiny_config, rng=3)[:12]
+        fe = FeatureExtractor(tiny_config.catalog)
+        fe.fit_transform(runs[:8])
+        from repro.features.mvts import extract_mvts
+
+        # the state an old pickle carries
+        fe.__dict__.update(map_fn=None, _extract=extract_mvts)
+        loaded = pickle.loads(pickle.dumps(fe))
+        assert "map_fn" not in loaded.__dict__
+        assert "_extract" not in loaded.__dict__
+        assert np.array_equal(loaded.transform(runs[8:]).X, fe.transform(runs[8:]).X)

@@ -297,7 +297,7 @@ class TestPoolReuse:
         assert ex._pool is None
 
     def test_executor_with_live_pool_is_picklable(self):
-        # objects that reference their executor (a bound map_fn) get
+        # objects that reference their executor (a bound Executor.map) get
         # pickled into worker processes; the live pool must not ride along
         ex = Executor(n_workers=2)
         try:

@@ -74,7 +74,6 @@ class TestNamedSymbolsExist:
         from repro.core import (  # noqa: F401
             ALBADross,
             AnnotationSession,
-            AnomalyDetector,
             DriftMonitor,
             FrameworkConfig,
             MetricHighlighter,
@@ -85,7 +84,6 @@ class TestNamedSymbolsExist:
             ActiveLearner,
             DensityWeightedUncertainty,
             QueryByCommittee,
-            RankedBatchSelector,
             StreamActiveLearner,
             run_active_learning,
         )
@@ -96,9 +94,7 @@ class TestNamedSymbolsExist:
             LGBMClassifier,
             LogisticRegression,
             MLPClassifier,
-            MajorityClassifier,
             RandomForestClassifier,
-            TemperatureScaler,
         )
 
 
