@@ -14,7 +14,12 @@ Measures the PR's two claims and records them in
   pure dispatch-overhead amortization, independent of core count; the
   long-run full profile records its smaller speedup honestly;
 * the TSFRESH vectorization: whole-matrix approximate entropy vs the
-  historical per-column loop on a single preprocessed run matrix.
+  historical per-column loop on a single preprocessed run matrix;
+* selection pushdown (``featurize_pushdown``): a serving-shaped 64-run
+  micro-batch through ``ALBADross.featurize``, which extracts only the
+  metric columns the selected features read, vs the full extract ->
+  scale -> select oracle; bit-identical outputs asserted and the speedup
+  gated >= 3x at smoke scale.
 
 Timing protocol mirrors ``test_perf_train_core.py``: this box throttles
 under sustained load, so competing configs are *interleaved* and each
@@ -44,6 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.apps.volta_apps import VOLTA_APPS
+from repro.core.config import FrameworkConfig
+from repro.core.framework import ALBADross
 from repro.datasets.generate import SystemConfig, build_dataset, generate_runs
 from repro.features.mvts import extract_mvts
 from repro.features.pipeline import batched_feature_rows, preprocess_run
@@ -301,6 +308,82 @@ class TestTsfreshVectorization:
             assert speedup >= 1.5
 
 
+class TestFeaturizePushdown:
+    """Column-planned featurization vs extract-everything-then-select.
+
+    The model is the serving bench's (CG/BT/Kripke, 96 s runs, MVTS,
+    k=30, 5 trees) and the batch is one full 64-run micro-batch of
+    held-out runs, so the arm measures what a serving batch costs. The
+    oracle arm is the path ``featurize`` took before the pushdown: the
+    full extract of every kept feature, then Min-Max scaling of all of
+    them, then the selector's column gather.
+    """
+
+    def test_featurize_pushdown(self):
+        config = SystemConfig(
+            name="bench-serving",
+            apps={k: VOLTA_APPS[k] for k in ("CG", "BT", "Kripke")},
+            catalog=build_catalog(n_cores=2, n_nics=1, n_extra_cray=4),
+            node=VOLTA_NODE,
+            intensities=(0.2, 1.0),
+            duration=96,
+            n_healthy_per_app_input=2 if SMOKE else 4,
+            n_anomalous_per_app_anomaly=2 if SMOKE else 3,
+        )
+        runs = generate_runs(config, rng=0)
+        framework = ALBADross(
+            config.catalog,
+            FrameworkConfig(n_features=30, model_params={"n_estimators": 5}),
+        )
+        framework.fit_features(runs)
+        third = len(runs) // 3
+        framework.fit_initial(runs[:third], [r.label for r in runs[:third]])
+        held_out = runs[2 * third:]
+        batch = [held_out[i % len(held_out)] for i in range(64)]
+        extractor = framework.extractor
+
+        def full() -> np.ndarray:
+            X = extractor.transform(batch, extractor.plan()).X
+            return framework.selector.transform(framework.scaler.transform(X))
+
+        arms = {"full": full, "pushdown": lambda: framework.featurize(batch)}
+        times: dict[str, list[float]] = {name: [] for name in arms}
+        results: dict[str, np.ndarray] = {}
+        for rep in range(REPS):
+            order = ("full", "pushdown") if rep % 2 == 0 else ("pushdown", "full")
+            for arm in order:
+                t0 = time.perf_counter()
+                results[arm] = arms[arm]()
+                times[arm].append(time.perf_counter() - t0)
+        # pushdown must not move a single bit
+        assert np.array_equal(results["full"], results["pushdown"])
+        med = {name: float(np.median(ts)) for name, ts in times.items()}
+        speedup = med["full"] / med["pushdown"]
+        plan = extractor.plan(framework.selector.support_)
+        payload = {
+            "n_runs": len(batch),
+            "n_metrics": len(config.catalog),
+            "n_features": int(len(plan.features)),
+            "planned_columns": int(len(plan.columns)),
+            "reps": REPS,
+            "full_s": round(med["full"], 4),
+            "pushdown_s": round(med["pushdown"], 4),
+            "speedup": round(speedup, 2),
+            "bit_identical": True,
+            "note": (
+                "only the metric columns the selected features read are "
+                "extracted and only the k selected columns are scaled; the "
+                "speedup tracks the share of columns the plan reads"
+            ),
+        }
+        _update_results("featurize_pushdown", payload)
+        if SMOKE:
+            assert speedup >= 3.0, (
+                f"pushdown featurize only {speedup:.2f}x the full extract "
+                "on a serving-shaped batch"
+            )
+
+
 class TestBaselineGate:
     def test_no_regression_vs_committed_baseline(self):
         """CI gate: fail when any recorded timing is >2x the baseline."""
@@ -320,6 +403,7 @@ class TestBaselineGate:
             "extraction_batched_mvts.batched_s": lambda d: d["extraction_batched_mvts"]["batched_s"],
             "extraction_batched_tsfresh.batched_s": lambda d: d["extraction_batched_tsfresh"]["batched_s"],
             "tsfresh_vectorization.matrix_s": lambda d: d["tsfresh_vectorization"]["matrix_s"],
+            "featurize_pushdown.pushdown_s": lambda d: d["featurize_pushdown"]["pushdown_s"],
         }
         regressions = []
         for name, get in checks.items():

@@ -134,13 +134,17 @@ class ALBADross:
         return self
 
     def _featurize(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:
+        # Extract only the metric columns the selected features read and
+        # scale just those k columns: every step is per column, so this is
+        # bit-identical to extract -> drop -> scale -> select. The plan is
+        # derived from fitted state on each call, never stored, so older
+        # pickles featurize unchanged.
         if self.scaler is None:
             raise RuntimeError("call fit_features first")
-        ds = self.extractor.transform(runs)
-        X = self.scaler.transform(ds.X)
-        if self.selector is not None:
-            X = self.selector.transform(X)
-        return X
+        support = None if self.selector is None else self.selector.support_
+        X = self.extractor.transform(runs, self.extractor.plan(support)).X
+        scaler = self.scaler if support is None else self.scaler.subset(support)
+        return scaler.transform(X)
 
     def fit_initial(
         self, seed_runs: Sequence[RunRecord], seed_labels: Sequence[str]

@@ -1,6 +1,6 @@
 """repro.features — statistical feature extraction (MVTS / TSFRESH stand-ins).
 
-48 MVTS features and 84 TSFRESH-lite features per metric, plus the
+48 MVTS features and 112 TSFRESH-lite features per metric, plus the
 preprocessing pipeline (trim, counter differencing, interpolation,
 NaN/zero-feature dropping) of the paper's Sec. IV-E1.
 """

@@ -22,6 +22,13 @@ panel and pushed through steps 1–4 in a single kernel pass per group
 each run separately; what changes is that the fixed Python/numpy dispatch
 cost of the ~hundreds of kernels is paid once per *corpus*, not once per
 *run*.
+
+Extraction is also **column-planned**: :meth:`FeatureExtractor.transform`
+takes a :class:`ColumnPlan` naming the features wanted, slices the metric
+columns they read out of the corpus before step 1, and gathers the
+features from the narrower output. Because every step works per column,
+the gathered features are bit-identical to extracting every column and
+then indexing; the default plan is every kept feature.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ __all__ = [
     "interpolate_missing",
     "preprocess_run",
     "batched_feature_rows",
+    "ColumnPlan",
     "FeatureDataset",
     "FeatureExtractor",
 ]
@@ -213,6 +221,22 @@ def batched_feature_rows(
     return out
 
 
+@dataclass(frozen=True)
+class ColumnPlan:
+    """Which metric columns a feature subset reads, and where it lands.
+
+    ``features`` are indices into the extractor's full raw row (metric-
+    major, ``n_stats`` features per metric), ascending. ``columns`` are
+    the metric columns those features read, ascending; ``positions``
+    locate each feature in the raw row of a corpus sliced to ``columns``.
+    Build one with :meth:`FeatureExtractor.plan`.
+    """
+
+    features: np.ndarray
+    columns: np.ndarray
+    positions: np.ndarray
+
+
 class _ChunkFeaturizer:
     """Picklable worker body: featurize every run of a corpus chunk.
 
@@ -282,7 +306,10 @@ class FeatureExtractor:
     kernel pass (:func:`batched_feature_rows`), amortizing the fixed
     dispatch overhead of the ~hundreds of numpy/scipy kernels per call
     over the whole corpus — bit-identical to per-run extraction, just
-    without paying the dispatch tax once per run.
+    without paying the dispatch tax once per run. :meth:`transform`
+    extracts only the metric columns its :class:`ColumnPlan` reads, so a
+    caller that needs a few selected features (``ALBADross.featurize``)
+    never pays for the others.
 
     With ``n_jobs > 1`` the corpus is split into contiguous chunks (many
     runs per task, each chunk batching internally) that fan out over the
@@ -299,7 +326,7 @@ class FeatureExtractor:
         The metric catalog the runs were collected with (provides the
         counter mask and metric names).
     method:
-        ``"mvts"`` (48 features/metric) or ``"tsfresh"`` (84/metric).
+        ``"mvts"`` (48 features/metric) or ``"tsfresh"`` (112/metric).
     trim_frac:
         Head/tail trim fractions passed to :func:`preprocess_run`.
     n_jobs:
@@ -352,20 +379,20 @@ class FeatureExtractor:
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
-    def _featurize_corpus(self, corpus: RunCorpus) -> np.ndarray:
+    def _featurize_corpus(
+        self, corpus: RunCorpus, counter_mask: np.ndarray
+    ) -> np.ndarray:
         n_jobs = self.n_jobs or 1
         if n_jobs <= 1 or len(corpus) == 1:
             return _ChunkFeaturizer(
-                self.catalog.counter_mask, self.trim_frac, self.method,
-                self.max_panel_elems,
+                counter_mask, self.trim_frac, self.method, self.max_panel_elems,
             )(corpus)
         executor = shared_executor(n_jobs, backend=self.backend)
         if executor.n_workers <= 1:
             # backend="auto" on a one-core mask degrades to serial: skip
             # the chunk/vstack round-trip, the bytes are identical anyway
             return _ChunkFeaturizer(
-                self.catalog.counter_mask, self.trim_frac, self.method,
-                self.max_panel_elems,
+                counter_mask, self.trim_frac, self.method, self.max_panel_elems,
             )(corpus)
         parts = [
             idx
@@ -377,7 +404,7 @@ class FeatureExtractor:
             # their chunk's row offsets, workers attach instead of copying
             with corpus.share() as shared:
                 worker = _ShmChunkFeaturizer(
-                    shared.handle, self.catalog.counter_mask,
+                    shared.handle, counter_mask,
                     self.trim_frac, self.method, self.max_panel_elems,
                 )
                 items = [
@@ -386,13 +413,17 @@ class FeatureExtractor:
                 ]
                 return np.vstack(executor.map(worker, items))
         worker = _ChunkFeaturizer(
-            self.catalog.counter_mask, self.trim_frac, self.method,
-            self.max_panel_elems,
+            counter_mask, self.trim_frac, self.method, self.max_panel_elems,
         )
         chunks = [corpus.chunk(int(idx[0]), int(idx[-1]) + 1) for idx in parts]
         return np.vstack(executor.map(worker, chunks))
 
-    def _featurize_all(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:
+    def _featurize_all(
+        self,
+        runs: Sequence[RunRecord] | RunCorpus,
+        columns: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Raw feature rows of ``runs`` over metric ``columns`` (all if None)."""
         # pack record lists up front: serving micro-batches and serial
         # callers get the run-batched kernel pass too, and parallel chunks
         # ship as flat buffers (raises on empty or mixed-catalog lists)
@@ -402,7 +433,19 @@ class FeatureExtractor:
                 "runs were collected with a different metric catalog than "
                 "the extractor's; their features would be misnamed"
             )
-        return self._featurize_corpus(corpus)
+        counter_mask = self.catalog.counter_mask
+        if corpus.n_metrics != len(counter_mask):
+            # checked here, not left to preprocess_run: a column slice
+            # would otherwise accept a run wider than the catalog
+            raise ValueError(
+                f"counter_mask / data column mismatch: runs have "
+                f"{corpus.n_metrics} metric columns, the catalog "
+                f"{len(counter_mask)}"
+            )
+        if columns is not None and len(columns) < corpus.n_metrics:
+            corpus = corpus.take_columns(columns)
+            counter_mask = counter_mask[columns]
+        return self._featurize_corpus(corpus, counter_mask)
 
     def fit_transform(self, runs: Sequence[RunRecord] | RunCorpus) -> FeatureDataset:
         """Featurize a corpus and learn the NaN/zero drop mask from it."""
@@ -412,22 +455,51 @@ class FeatureExtractor:
         nan_cols = np.isnan(raw).any(axis=0)
         zero_cols = np.all(raw == 0.0, axis=0)
         self.keep_mask_ = ~(nan_cols | zero_cols)
-        return self._package(runs, raw[:, self.keep_mask_])
+        return self._package(runs, raw[:, self.keep_mask_], self.plan().features)
 
-    def transform(self, runs: Sequence[RunRecord] | RunCorpus) -> FeatureDataset:
-        """Featurize new runs with the already-learned drop mask."""
+    def plan(self, support: np.ndarray | None = None) -> ColumnPlan:
+        """Compile the learned drop mask into a :class:`ColumnPlan`.
+
+        ``support`` indexes the *kept* features (a fitted
+        ``SelectKBest.support_``) and narrows the plan to them; ``None``
+        plans every kept feature, which is what :meth:`transform` does by
+        default.
+        """
         if self.keep_mask_ is None:
             raise RuntimeError("call fit_transform on a training corpus first")
-        raw = self._featurize_all(runs)
-        kept = raw[:, self.keep_mask_]
+        features = np.flatnonzero(self.keep_mask_)
+        if support is not None:
+            features = features[support]
+        n_stats = len(_EXTRACTORS[self.method][1])
+        metric = features // n_stats
+        columns = np.unique(metric)
+        positions = np.searchsorted(columns, metric) * n_stats + features % n_stats
+        return ColumnPlan(features, columns, positions)
+
+    def transform(
+        self,
+        runs: Sequence[RunRecord] | RunCorpus,
+        plan: ColumnPlan | None = None,
+    ) -> FeatureDataset:
+        """Featurize new runs with the already-learned drop mask.
+
+        Only the metric columns that ``plan`` reads are extracted (see
+        :meth:`plan`); the output columns are ``plan.features``, in order.
+        """
+        if plan is None:
+            plan = self.plan()
+        raw = self._featurize_all(runs, plan.columns)
         # test-time NaNs (e.g. all-missing metric) are zero-filled: the
         # model must not crash on a degraded run
-        return self._package(runs, np.nan_to_num(kept))
+        return self._package(runs, np.nan_to_num(raw[:, plan.positions]), plan.features)
 
     def _package(
-        self, runs: Sequence[RunRecord] | RunCorpus, X: np.ndarray
+        self,
+        runs: Sequence[RunRecord] | RunCorpus,
+        X: np.ndarray,
+        features: np.ndarray,
     ) -> FeatureDataset:
-        names = [n for n, keep in zip(self._all_names, self.keep_mask_) if keep]
+        names = [self._all_names[i] for i in features]
         if isinstance(runs, RunCorpus):
             return FeatureDataset(
                 X=X,

@@ -4,10 +4,11 @@ TSFRESH computes 794 features per metric from 63 characterization methods;
 the paper highlights approximate entropy, power spectral density (Welch),
 and variation coefficients as the advanced additions beyond MVTS. This
 module reproduces the *families* rather than the full 794: every metric
-gets the 48 MVTS features plus 36 advanced features (84 total per metric),
-spanning entropy measures, Welch spectral statistics, nonlinearity scores,
-complexity estimates, distribution quantiles, energy localization, and
-autocorrelation aggregates. Strictly more expressive than MVTS — which is
+gets the 48 MVTS features plus 64 advanced features (112 total per metric),
+spanning entropy measures, Welch spectral statistics and spectral shape,
+nonlinearity scores, complexity estimates, distribution quantiles, energy
+localization, autocorrelation and autoregressive aggregates, trend fits and
+duplication counts. Strictly more expressive than MVTS — which is
 what drives the paper's Volta result (TSFRESH wins there, Table V).
 
 Every feature — approximate entropy included — is vectorized across all
@@ -154,12 +155,12 @@ def _approx_entropy_matrix(
 
 
 def extract_tsfresh(X: np.ndarray) -> np.ndarray:
-    """Compute the 84 TSFRESH-lite features per column of a (T, M) matrix.
+    """Compute the 112 TSFRESH-lite features per column of a (T, M) matrix.
 
-    Returns a flat ``(M * 84,)`` vector, metric-major, ordered per
+    Returns a flat ``(M * 112,)`` vector, metric-major, ordered per
     :data:`TSFRESH_FEATURE_NAMES`. Because the layout is column-major a
-    ``(T, B*M)`` panel of B equal-length runs yields ``(B*M*84,)``, which
-    reshapes to one ``(B, M*84)`` feature row per run.
+    ``(T, B*M)`` panel of B equal-length runs yields ``(B*M*112,)``, which
+    reshapes to one ``(B, M*112)`` feature row per run.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:

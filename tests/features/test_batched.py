@@ -295,6 +295,40 @@ class TestEntryPoints:
             fe.transform(permuted)
 
 
+class TestColumnPlan:
+    def test_plan_maps_features_into_the_sliced_row(self, catalog):
+        fe = FeatureExtractor(catalog, method="mvts")  # 48 stats per metric
+        fe.keep_mask_ = np.zeros(fe.n_features_raw, dtype=bool)
+        fe.keep_mask_[[5, 50, 100, 101, 200]] = True
+        plan = fe.plan()
+        assert list(plan.features) == [5, 50, 100, 101, 200]
+        assert list(plan.columns) == [0, 1, 2, 4]
+        assert list(plan.positions) == [5, 48 + 2, 96 + 4, 96 + 5, 144 + 8]
+        # support indexes the kept features
+        plan = fe.plan(np.array([1, 4]))
+        assert list(plan.features) == [50, 200]
+        assert list(plan.columns) == [1, 4]
+        assert list(plan.positions) == [2, 48 + 8]
+
+    @pytest.mark.parametrize("method", ["mvts", "tsfresh"])
+    def test_planned_transform_equals_full_transform_columns(self, catalog, method):
+        """Extracting only the planned metric columns gives the planned
+        features of the full extract bit for bit, names included."""
+        records = _mixed_records(catalog, [64, 96, 64, 80], seed=12)
+        fe = FeatureExtractor(catalog, method=method)
+        fe.fit_transform(records)
+        full = fe.transform(records)
+        assert full.feature_names == [
+            n for n, keep in zip(fe._all_names, fe.keep_mask_) if keep
+        ]
+        support = np.array([0, 7, len(full.feature_names) - 1])
+        plan = fe.plan(support)
+        assert len(plan.columns) < len(catalog.names)
+        part = fe.transform(records, plan)
+        assert np.array_equal(part.X, full.X[:, support])
+        assert part.feature_names == [full.feature_names[j] for j in support]
+
+
 class TestParallelParity:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_n_jobs_bitwise_identical(self, catalog, backend):

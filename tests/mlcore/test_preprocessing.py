@@ -45,6 +45,18 @@ class TestMinMaxScaler:
         with pytest.raises(ValueError, match="features"):
             scaler.transform(np.ones((2, 5)))
 
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_subset_equals_full_transform_then_index(self, clip):
+        rng = np.random.default_rng(2)
+        X = rng.normal(scale=10, size=(30, 7))
+        X[:, 3] = 4.0  # constant column
+        scaler = MinMaxScaler(clip=clip).fit(X)
+        cols = np.array([0, 3, 6])
+        test = rng.normal(scale=20, size=(9, 7))
+        sub = scaler.subset(cols)
+        assert sub.n_features_in_ == 3
+        assert np.array_equal(sub.transform(test[:, cols]), scaler.transform(test)[:, cols])
+
     def test_inverse_transform_roundtrip(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(30, 4))

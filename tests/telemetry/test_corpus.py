@@ -92,6 +92,16 @@ class TestChunkConcat:
         assert np.array_equal(back.buffer, corpus.buffer)
 
 
+    def test_take_columns_keeps_runs_and_metadata(self):
+        corpus = RunCorpus.from_records(_records(n=4, width=5))
+        narrow = corpus.take_columns(np.array([1, 4]))
+        assert narrow.metric_names == ["m1", "m4"]
+        assert np.array_equal(narrow.offsets, corpus.offsets)
+        assert list(narrow.labels) == list(corpus.labels)
+        for i in range(len(corpus)):
+            assert np.array_equal(narrow.run_data(i), corpus.run_data(i)[:, [1, 4]])
+
+
 class TestValidation:
     def test_from_records_rejects_mixed_width(self):
         records = _records(n=2, width=3)
