@@ -13,8 +13,10 @@ Measures the PR's two claims and records them in
   the speedup gated ≥ 1.5x at smoke (short-run, serving-shaped) scale —
   pure dispatch-overhead amortization, independent of core count; the
   long-run full profile records its smaller speedup honestly;
-* the TSFRESH vectorization: whole-matrix approximate entropy vs the
-  historical per-column loop on a single preprocessed run matrix;
+* the TSFRESH vectorization: the whole-matrix approximate-entropy kernel
+  (one boolean close tensor per column block) vs the per-column float
+  Chebyshev oracle in ``tests/features/oracles.py``, on a single
+  preprocessed run matrix;
 * selection pushdown (``featurize_pushdown``): a serving-shaped 64-run
   micro-batch through ``ALBADross.featurize``, which extracts only the
   metric columns the selected features read, vs the full extract ->
@@ -55,15 +57,12 @@ from repro.datasets.generate import SystemConfig, build_dataset, generate_runs
 from repro.features.mvts import extract_mvts
 from repro.features.pipeline import batched_feature_rows, preprocess_run
 from repro.parallel import effective_cpu_count
-from repro.features.tsfresh_lite import (
-    _approx_entropy_column,
-    _approx_entropy_matrix,
-    extract_tsfresh,
-)
+from repro.features.tsfresh_lite import _approx_entropy_matrix, extract_tsfresh
 from repro.telemetry.catalog import build_catalog
 from repro.telemetry.collector import Collector
 from repro.telemetry.corpus import RunCorpus, plan_length_groups
 from repro.telemetry.node import VOLTA_NODE
+from tests.features.oracles import approx_entropy_column
 
 PROFILE = os.environ.get("DATA_PLANE_PROFILE", "full")
 SMOKE = PROFILE == "smoke"
@@ -266,7 +265,7 @@ class TestExtractionBatched:
 
 class TestTsfreshVectorization:
     def test_approx_entropy_matrix_vs_column_loop(self):
-        """Single-run extraction: whole-matrix ApEn vs the legacy loop."""
+        """Single-run extraction: whole-matrix ApEn vs the per-column oracle."""
         config = _campaign()
         collector = Collector(config.catalog, config.node, config.missing_rate)
         app = next(iter(config.apps.values()))
@@ -287,7 +286,7 @@ class TestTsfreshVectorization:
             times["matrix"].append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             ref = np.array(
-                [_approx_entropy_column(X[:, j]) for j in range(X.shape[1])]
+                [approx_entropy_column(X[:, j]) for j in range(X.shape[1])]
             )
             times["column_loop"].append(time.perf_counter() - t0)
         assert np.array_equal(vec, ref)  # vectorization is exact

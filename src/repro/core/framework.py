@@ -82,6 +82,56 @@ def table4_grid(model: str) -> dict[str, list]:
     return grids[model]
 
 
+class _CorpusRows:
+    """Raw kept-feature rows of a ``fit_features`` corpus, by run identity.
+
+    Holds strong references to the runs and to the arrays their ``.data``
+    pointed at, so an ``id()`` can never be reused by another run while
+    the rows are held. A run matches only if it is the very record that
+    was extracted and still carries the very same ``.data`` array.
+    """
+
+    def __init__(self, runs: Sequence[RunRecord], X: np.ndarray):
+        self.runs = list(runs)
+        self.data = [run.data for run in self.runs]
+        self.index = {id(run): i for i, run in enumerate(self.runs)}
+        self.X = X
+        self.support: np.ndarray | None = None  # the kept features X holds
+
+    def narrow(self, support: np.ndarray) -> "_CorpusRows | None":
+        """Cut to the ``support`` columns, the ones :meth:`ALBADross.learn`
+        reads; None when an earlier cut dropped some of them."""
+        if self.support is None:
+            self.X, self.support = self.X[:, support], support
+        return self if np.array_equal(support, self.support) else None
+
+    def gather(
+        self, runs: Sequence[RunRecord] | RunCorpus, support: np.ndarray | None
+    ) -> np.ndarray | None:
+        """The rows of ``runs`` narrowed to ``support`` (None: every kept
+        feature), or None unless every run matches.
+
+        The column gather is the same integer-array index that
+        :meth:`FeatureExtractor.transform` applies to its C-ordered raw
+        rows, so the result has its memory layout as well as its bytes:
+        BLAS-backed consumers (the chi-square matmul) round by layout.
+        """
+        if isinstance(runs, RunCorpus) or len(runs) == 0:
+            return None
+        if self.support is not None:
+            if support is None or not np.array_equal(support, self.support):
+                return None
+            support = None  # X holds exactly these columns
+        idx = []
+        for run in runs:
+            i = self.index.get(id(run))
+            if i is None or self.runs[i] is not run or self.data[i] is not run.data:
+                return None
+            idx.append(i)
+        columns = np.arange(self.X.shape[1]) if support is None else support
+        return np.ascontiguousarray(self.X[idx])[:, columns]
+
+
 @dataclass(frozen=True)
 class Diagnosis:
     """One diagnosed sample: the predicted label and its confidence."""
@@ -119,6 +169,19 @@ class ALBADross:
         self.model: BaseEstimator | None = None
         self._X_seed: np.ndarray | None = None
         self._y_seed: np.ndarray | None = None
+        self._train_rows: _CorpusRows | None = None
+
+    def __getstate__(self) -> dict:
+        # the training-row cache holds run records and raw feature rows;
+        # it never enters a pickle, so saved frameworks stay the same
+        # bytes as those of a framework without one
+        state = self.__dict__.copy()
+        state.pop("_train_rows", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._train_rows = None
 
     # ------------------------------------------------------------------
     def fit_features(self, runs: Sequence[RunRecord] | RunCorpus) -> "ALBADross":
@@ -128,23 +191,54 @@ class ALBADross:
         chi-square selector is fit later, in :meth:`fit_initial`, because it
         needs labels. Extraction is run-batched — a whole campaign is one
         kernel pass per run-length group, not one per run.
+
+        Given a list of records, the framework keeps the corpus's raw
+        feature rows for its training lifetime: :meth:`fit_initial`,
+        :meth:`tune` and :meth:`learn` gather the rows of runs from this
+        corpus instead of extracting them again. :meth:`fit_initial`
+        narrows the rows to the selected features, and :meth:`learn`
+        releases them when it returns. Runs are matched by identity —
+        the same record object carrying the same ``.data`` array — so a
+        copied record or a reassigned ``.data`` is extracted afresh, but
+        a run mutated *in place* between this call and :meth:`learn`
+        would be served its old rows: don't. The rows are never pickled.
         """
         ds = self.extractor.fit_transform(runs)
         self.scaler = MinMaxScaler(clip=True).fit(ds.X)
+        self._train_rows = None if isinstance(runs, RunCorpus) else _CorpusRows(runs, ds.X)
         return self
 
-    def _featurize(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:
-        # Extract only the metric columns the selected features read and
-        # scale just those k columns: every step is per column, so this is
-        # bit-identical to extract -> drop -> scale -> select. The plan is
-        # derived from fitted state on each call, never stored, so older
-        # pickles featurize unchanged.
+    def _features(
+        self,
+        runs: Sequence[RunRecord] | RunCorpus,
+        support: np.ndarray | None,
+        gather: bool = False,
+    ) -> np.ndarray:
+        # Scaled kept features of ``runs``, narrowed to ``support`` (None:
+        # every kept feature). Extract only the metric columns those
+        # features read and scale just those columns: every step is per
+        # column, so this is bit-identical to extract -> drop -> scale ->
+        # select. The plan is derived from fitted state on each call,
+        # never stored, so older pickles featurize unchanged. With
+        # ``gather``, runs of the fit_features corpus reuse its rows,
+        # which are the same bits.
         if self.scaler is None:
             raise RuntimeError("call fit_features first")
-        support = None if self.selector is None else self.selector.support_
-        X = self.extractor.transform(runs, self.extractor.plan(support)).X
+        cache = self._train_rows if gather else None
+        rows = None if cache is None else cache.gather(runs, support)
+        if rows is None:
+            X = self.extractor.transform(runs, self.extractor.plan(support)).X
+        else:
+            # the extractor zero-fills test-time NaNs the same way
+            X = np.nan_to_num(rows, copy=False)
         scaler = self.scaler if support is None else self.scaler.subset(support)
         return scaler.transform(X)
+
+    def _featurize(
+        self, runs: Sequence[RunRecord] | RunCorpus, gather: bool = False
+    ) -> np.ndarray:
+        support = None if self.selector is None else self.selector.support_
+        return self._features(runs, support, gather)
 
     def fit_initial(
         self, seed_runs: Sequence[RunRecord], seed_labels: Sequence[str]
@@ -154,8 +248,7 @@ class ALBADross:
             raise RuntimeError("call fit_features first")
         if len(seed_runs) != len(seed_labels):
             raise ValueError("seed runs / labels length mismatch")
-        ds = self.extractor.transform(seed_runs)
-        X = self.scaler.transform(ds.X)
+        X = self._features(seed_runs, None, gather=True)
         y = np.asarray(seed_labels)
         self.selector = SelectKBest(k=self.config.n_features).fit(X, y)
         X = self.selector.transform(X)
@@ -166,6 +259,8 @@ class ALBADross:
         )
         self.model.fit(X, y)
         self._X_seed, self._y_seed = X, y
+        if self._train_rows is not None:
+            self._train_rows = self._train_rows.narrow(self.selector.support_)
         return self
 
     def tune(
@@ -176,10 +271,7 @@ class ALBADross:
         Returns the best parameters; subsequent :meth:`fit_initial` calls
         use them.
         """
-        if self.scaler is None:
-            raise RuntimeError("call fit_features first")
-        ds = self.extractor.transform(runs)
-        X = self.scaler.transform(ds.X)
+        X = self._features(runs, None, gather=True)
         y = np.asarray(labels)
         selector = SelectKBest(k=self.config.n_features).fit(X, y)
         X = selector.transform(X)
@@ -208,8 +300,8 @@ class ALBADross:
         """
         if self.model is None or self._X_seed is None:
             raise RuntimeError("call fit_initial first")
-        X_pool = self._featurize(pool_runs)
-        X_val = self._featurize(validation_runs)
+        X_pool = self._featurize(pool_runs, gather=True)
+        X_val = self._featurize(validation_runs, gather=True)
         result = run_active_learning(
             build_model(
                 self.config.model,
@@ -242,6 +334,7 @@ class ALBADross:
             random_state=self.config.random_state,
         )
         self.model.fit(X_final, y_final)
+        self._train_rows = None
         return result
 
     def featurize(self, runs: Sequence[RunRecord] | RunCorpus) -> np.ndarray:

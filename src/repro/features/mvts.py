@@ -26,14 +26,19 @@ __all__ = ["MVTS_FEATURE_NAMES", "extract_mvts", "feature_names_for"]
 
 
 def _longest_true_run(mask: np.ndarray) -> np.ndarray:
-    """Per-column length of the longest run of True in a (T, M) mask."""
+    """Per-column length of the longest run of True in a (T, M) mask.
+
+    A prefix max finds, for every row ``t`` (counted from 1), the last
+    False row at or before it (0: none yet); the run of True ending at
+    ``t`` is the distance between the two. Integer-exact, in the
+    narrowest unsigned dtype that holds ``T``.
+    """
     T, M = mask.shape
-    best = np.zeros(M, dtype=np.int64)
-    current = np.zeros(M, dtype=np.int64)
-    for t in range(T):
-        current = np.where(mask[t], current + 1, 0)
-        best = np.maximum(best, current)
-    return best
+    if T == 0:
+        return np.zeros(M, dtype=np.int64)
+    t = np.arange(1, T + 1, dtype=np.min_scalar_type(T))[:, None]
+    last_false = np.maximum.accumulate(t * ~mask, axis=0)
+    return (t - last_false).max(axis=0).astype(np.int64)
 
 
 def _autocorr(X: np.ndarray, lag: int) -> np.ndarray:
@@ -107,7 +112,9 @@ def extract_mvts(X: np.ndarray) -> np.ndarray:
     feats = np.empty((48, M))
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
-    q1, med, q3 = np.percentile(X, [25, 50, 75], axis=0)
+    # one partition pass for the order statistics; each quantile's linear
+    # interpolation is elementwise, so each equals its own one-quantile call
+    p5, q1, med, q3, p95 = np.percentile(X, [5, 25, 50, 75, 95], axis=0)
     mn, mx = X.min(axis=0), X.max(axis=0)
     diffs = np.diff(X, axis=0)
 
@@ -152,26 +159,24 @@ def extract_mvts(X: np.ndarray) -> np.ndarray:
     feats[31] = (T - 1 - np.argmin(X[::-1], axis=0)) / T
     half = T // 2
     A, B = X[:half], X[half:]
+    a25, a75 = np.percentile(A, [25, 75], axis=0)
+    b25, b75 = np.percentile(B, [25, 75], axis=0)
     feats[32] = np.abs(A.mean(axis=0) - B.mean(axis=0))
     feats[33] = np.abs(np.median(A, axis=0) - np.median(B, axis=0))
     feats[34] = np.abs(A.std(axis=0) - B.std(axis=0))
     feats[35] = np.abs(A.var(axis=0) - B.var(axis=0))
     feats[36] = np.abs(A.min(axis=0) - B.min(axis=0))
     feats[37] = np.abs(A.max(axis=0) - B.max(axis=0))
-    feats[38] = np.abs(
-        np.percentile(A, 25, axis=0) - np.percentile(B, 25, axis=0)
-    )
-    feats[39] = np.abs(
-        np.percentile(A, 75, axis=0) - np.percentile(B, 75, axis=0)
-    )
+    feats[38] = np.abs(a25 - b25)
+    feats[39] = np.abs(a75 - b75)
     feats[40] = _autocorr(X, 1)
     feats[41] = _autocorr(X, 2)
     feats[42] = np.mean(np.abs(centered) > safe_sd, axis=0)
     feats[43] = np.mean(np.abs(centered) > 2 * safe_sd, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         feats[44] = np.where(np.abs(mu) > 1e-18, sd / np.where(np.abs(mu) > 1e-18, mu, 1.0), 0.0)
-    feats[45] = np.percentile(X, 5, axis=0)
-    feats[46] = np.percentile(X, 95, axis=0)
+    feats[45] = p5
+    feats[46] = p95
     feats[47] = np.median(np.abs(X - med), axis=0)
 
     return feats.T.ravel()  # metric-major

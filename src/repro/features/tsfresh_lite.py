@@ -12,10 +12,11 @@ duplication counts. Strictly more expressive than MVTS — which is
 what drives the paper's Volta result (TSFRESH wins there, Table V).
 
 Every feature — approximate entropy included — is vectorized across all
-M columns: ApEn builds its pairwise Chebyshev distance tensor for whole
-blocks of columns at once (:func:`_approx_entropy_matrix`), and the
-distinct-value counts come from a single sort along axis 0. The hot path
-contains no per-metric Python loop.
+M columns: ApEn builds one boolean "samples within r" tensor for whole
+blocks of columns at once and reads every template length off it with
+shifted ANDs (:func:`_approx_entropy_matrix`), the quantiles come from one
+``np.percentile`` call, and the distinct-value counts from a single sort
+along axis 0. The hot path contains no per-metric Python loop.
 
 Like :mod:`repro.features.mvts`, every kernel treats columns
 independently with width-stable accumulation, so the column count is
@@ -67,90 +68,60 @@ TSFRESH_FEATURE_NAMES: tuple[str, ...] = MVTS_FEATURE_NAMES + _EXTRA_NAMES
 assert len(TSFRESH_FEATURE_NAMES) == 112
 
 
-def _approx_entropy_column(
-    x: np.ndarray, m: int = 2, r_frac: float = 0.2, max_len: int = 128
-) -> float:
-    """Approximate entropy of one series (Pincus 1991), vectorized.
-
-    Uses embedding dimension ``m`` and tolerance ``r = r_frac * std``.
-    Constant series return 0. The O(T²) pairwise comparison is computed on
-    the first ``max_len`` samples — ApEn is routinely estimated on short
-    windows, and this keeps long-run extraction linear in practice.
-
-    Kept as the reference implementation; the hot path uses the
-    whole-matrix :func:`_approx_entropy_matrix` (bit-identical output).
-    """
-    if len(x) > max_len:
-        x = x[:max_len]
-    T = len(x)
-    sd = x.std()
-    if sd < 1e-18 or T <= m + 1:
-        return 0.0
-    r = r_frac * sd
-
-    def phi(mm: int) -> float:
-        n = T - mm + 1
-        # embedding matrix (n, mm)
-        emb = np.lib.stride_tricks.sliding_window_view(x, mm)
-        # pairwise Chebyshev distances via broadcasting: (n, n)
-        dist = np.max(np.abs(emb[:, None, :] - emb[None, :, :]), axis=2)
-        counts = np.mean(dist <= r, axis=1)
-        return float(np.mean(np.log(counts)))
-
-    return phi(m) - phi(m + 1)
-
-
 def _approx_entropy_matrix(
     X: np.ndarray, m: int = 2, r_frac: float = 0.2, max_len: int = 128,
     block_elems: int = 1 << 16,
 ) -> np.ndarray:
-    """Approximate entropy of every column of ``(T, M)`` at once.
+    """Approximate entropy (Pincus 1991) of every column of ``(T, M)``.
 
-    Same algorithm and float ordering as :func:`_approx_entropy_column`
-    (all reductions run over the trailing axis, so the pairwise-summation
-    blocking matches the per-column code and results are bit-identical),
-    but the per-column Python loop is gone: the pairwise Chebyshev
-    distance tensor is built for a whole block of columns per numpy call.
+    Embedding dimension ``m``, tolerance ``r = r_frac * std``, computed on
+    the first ``max_len`` samples (ApEn is routinely estimated on short
+    windows, and this keeps long-run extraction linear). Constant columns
+    and runs of at most ``m + 1`` samples give 0.
 
-    ``block_elems`` bounds the ``(cols, n, n)`` working set — and because
-    column blocking never mixes columns, the bound changes *nothing* about
-    the output bytes, only the temporary-allocation size. The default is
-    batch-aware: run-batched extraction feeds panels of thousands of
-    columns (B runs × M metrics), and a 64Ki-element block (~0.5 MB dist
-    tensor, ~1.5 MB live temporaries) keeps each block L2-resident, which
-    on a wide panel measures ~3x faster than letting the tensor grow to
-    tens of MB and thrash memory bandwidth.
+    Two length-``mm`` templates starting at ``a`` and ``b`` match when
+    their Chebyshev distance is at most ``r``, i.e. when every sample
+    pair ``(a + k, b + k)`` is within ``r``. So one boolean tensor
+    ``close[c, a, b] = |x[c, a] - x[c, b]| <= r[c]`` answers every
+    template length: ANDing it with its ``(k, k)`` shifts for
+    ``k < mm`` gives the matches at length ``mm``, m+1 taking one more
+    shifted AND than m. Each template's match count is an integer, so
+    ``count / n`` and the trailing-axis ``log``/``mean`` reductions are
+    bitwise-equal to the float Chebyshev-distance form (pinned against
+    it in the tests).
+
+    ``block_elems`` bounds the ``(cols, T-m, T-m)`` working set. Column
+    blocking never mixes columns, so it changes no output bit, only the
+    temporary-allocation size: run-batched extraction feeds panels of
+    thousands of columns, and a 64Ki-element block keeps each block's
+    tensors cache-resident instead of thrashing memory bandwidth.
     """
     T = min(X.shape[0], max_len)
     M = X.shape[1]
     if T <= m + 1:
         return np.zeros(M)
     # column-major copy: every reduction below runs over the last axis of
-    # a contiguous array, matching the 1-D reductions of the reference
+    # a contiguous array, as a per-column 1-D reduction would
     Xt = np.ascontiguousarray(X[:T].T)  # (M, T)
     sd = Xt.std(axis=1)
     r = r_frac * sd
     out = np.empty(M)
-    cols_per_block = max(1, block_elems // max(1, (T - m) * (T - m)))
+    cols_per_block = max(1, block_elems // ((T - m) * (T - m)))
 
-    def phi(xb: np.ndarray, rb: np.ndarray, mm: int) -> np.ndarray:
-        n = T - mm + 1
-        # dist[c, a, b] = max_k |x[c, a+k] - x[c, b+k]|, built by
-        # accumulating the elementwise max over the mm offsets
-        dist = np.abs(xb[:, :n, None] - xb[:, None, :n])
-        for k in range(1, mm):
-            np.maximum(
-                dist,
-                np.abs(xb[:, k:k + n, None] - xb[:, None, k:k + n]),
-                out=dist,
-            )
-        counts = np.mean(dist <= rb[:, None, None], axis=2)
+    def phi(match: np.ndarray) -> np.ndarray:
+        n = match.shape[2]
+        counts = np.count_nonzero(match, axis=2) / n
         return np.mean(np.log(counts), axis=1)
 
     for lo in range(0, M, cols_per_block):
         hi = min(M, lo + cols_per_block)
-        xb, rb = Xt[lo:hi], r[lo:hi]
-        out[lo:hi] = phi(xb, rb, m) - phi(xb, rb, m + 1)
+        xb = Xt[lo:hi]
+        close = np.abs(xb[:, :, None] - xb[:, None, :]) <= r[lo:hi, None, None]
+        match = close[:, : T - m + 1, : T - m + 1]
+        for k in range(1, m):
+            match = match & close[:, k : T - m + 1 + k, k : T - m + 1 + k]
+        longer = match[:, :-1, :-1] & close[:, m:, m:]
+        out[lo:hi] = phi(match) - phi(longer)
     return np.where(sd < 1e-18, 0.0, out)
 
 
@@ -223,7 +194,13 @@ def extract_tsfresh(X: np.ndarray) -> np.ndarray:
         peak &= center > X[support + off : T - support + off]
     extra[12] = peak.sum(axis=0)
 
-    q10, q30, q70, q90, q99 = np.percentile(X, [10, 30, 70, 90, 99], axis=0)
+    # every order statistic in one partition pass: each quantile's linear
+    # interpolation is elementwise, so each equals its own one-quantile call
+    # (the median stays np.median, which rounds unlike percentile(50))
+    q10, q1, q30, q40, q60, q70, q3, q90, q99 = np.percentile(
+        X, [10, 25, 30, 40, 60, 70, 75, 90, 99], axis=0
+    )
+    med = np.median(X, axis=0)
     extra[13], extra[14], extra[15], extra[16], extra[17] = q10, q30, q70, q90, q99
 
     # energy localization: chunk energies as fractions of total
@@ -247,10 +224,8 @@ def extract_tsfresh(X: np.ndarray) -> np.ndarray:
     extra[27] = acs[4]
     extra[28] = acs[9]
 
-    med = np.median(X, axis=0)
     extra[29] = _longest_true_run(X > med)
     extra[30] = _longest_true_run(X < med)
-    q1, q3 = np.percentile(X, [25, 75], axis=0)
     extra[31] = np.sum(X > q3, axis=0)
     extra[32] = np.sum(X < q1, axis=0)
 
@@ -326,7 +301,6 @@ def extract_tsfresh(X: np.ndarray) -> np.ndarray:
     extra[49] = np.mean(
         np.sort(np.abs(X), axis=0)[-k_top:], axis=0
     )  # mean of 7 largest |x|
-    med = np.median(X, axis=0)
     sign_med = np.sign(X - med)
     extra[50] = np.sum(np.abs(np.diff(sign_med, axis=0)) > 1, axis=0)
     mu = X.mean(axis=0)
@@ -334,7 +308,6 @@ def extract_tsfresh(X: np.ndarray) -> np.ndarray:
     extra[51] = np.mean(np.abs(X - mu) <= sd, axis=0)  # range_count ±1σ
     extra[52] = (sd**2 > sd).astype(float)  # variance larger than std
     extra[53] = 1.0 - n_unique / T  # fraction of reoccurring points
-    q40, q60 = np.percentile(X, [40, 60], axis=0)
     extra[54] = q40
     extra[55] = q60
 
@@ -355,7 +328,6 @@ def extract_tsfresh(X: np.ndarray) -> np.ndarray:
         extra[slot] = pk.sum(axis=0)
 
     # where the extreme regime lives in time
-    q90 = np.percentile(X, 90, axis=0)
     above = X > q90
     any_above = above.any(axis=0)
     first = np.argmax(above, axis=0) / T

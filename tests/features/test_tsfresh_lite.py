@@ -6,10 +6,10 @@ import pytest
 from repro.features.mvts import MVTS_FEATURE_NAMES, extract_mvts
 from repro.features.tsfresh_lite import (
     TSFRESH_FEATURE_NAMES,
-    _approx_entropy_column,
     extract_tsfresh,
     feature_names_for,
 )
+from tests.features.oracles import approx_entropy_column as _approx_entropy_column
 
 IDX = {name: i for i, name in enumerate(TSFRESH_FEATURE_NAMES)}
 W = len(TSFRESH_FEATURE_NAMES)
