@@ -334,8 +334,11 @@ class TestBaselineGate:
         assert current["profile"] == baseline["profile"], (
             "baseline was recorded under a different profile"
         )
+        # the exact arms are gated too: exact is the library default
         checks = {
+            "forest_fit.primary.exact_s": lambda d: d["forest_fit"]["primary"]["exact_s"],
             "forest_fit.primary.hist_s": lambda d: d["forest_fit"]["primary"]["hist_s"],
+            "al_refits.exact_s": lambda d: d["al_refits"]["exact_s"],
             "al_refits.hist_cached_s": lambda d: d["al_refits"]["hist_cached_s"],
             "al_incremental.warm_s": lambda d: d["al_incremental"]["warm_s"],
         }

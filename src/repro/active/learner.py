@@ -90,6 +90,7 @@ class ActiveLearner:
         self.refit_every = refit_every
         self._X = [row for row in X_initial]
         self._y = list(y_initial)
+        self._y_initial = y_initial
         self._binner = binner
         self._binned = None
         if binner is not None:
@@ -141,8 +142,17 @@ class ActiveLearner:
 
     @property
     def y_labeled(self) -> np.ndarray:
-        """Current labeled targets."""
-        return np.asarray(self._y)
+        """Current labeled targets.
+
+        Once samples are taught this is ``np.concatenate([y_initial,
+        taught])`` — the array a caller stacking the seed labels and the
+        taught labels builds, down to its dtype — so a model refit here is
+        interchangeable with that caller's own fit.
+        """
+        taught = self._y[len(self._y_initial) :]
+        if not taught:
+            return np.asarray(self._y)
+        return np.concatenate([self._y_initial, taught])
 
     @property
     def n_labeled(self) -> int:

@@ -37,6 +37,11 @@ class ALResult:
     ``n_labeled[i]`` is the labeled-set size after the i-th evaluation
     (index 0 is the seed set, before any query). The metric arrays are
     aligned with ``n_labeled``.
+
+    ``model`` is the loop's final model when it is exactly what a fresh
+    clone's ``fit`` on the seed plus every taught row gives: at least one
+    query, and refits that were plain cold ``fit`` calls (no bin cache,
+    no warm refit, no shared representation). Otherwise it is ``None``.
     """
 
     n_labeled: np.ndarray
@@ -46,6 +51,7 @@ class ALResult:
     oracle: Oracle
     queried_labels: list = field(default_factory=list)
     queried_apps: list = field(default_factory=list)
+    model: BaseEstimator | None = None
 
     @property
     def initial_f1(self) -> float:
@@ -129,8 +135,8 @@ def run_active_learning(
 
     Returns
     -------
-    ALResult with metric curves, the oracle (query accounting), and the
-    per-query label/app log.
+    ALResult with metric curves, the oracle (query accounting), the
+    per-query label/app log and, for plain cold refits, the final model.
     """
     rng = check_random_state(random_state)
     X_pool = np.asarray(X_pool, dtype=np.float64)
@@ -274,4 +280,9 @@ def run_active_learning(
         oracle=oracle,
         queried_labels=queried_labels,
         queried_apps=queried_apps,
+        model=(
+            learner.model
+            if queried_labels and binner is None and clone_fn is clone
+            else None
+        ),
     )

@@ -322,18 +322,23 @@ class ALBADross:
             refresh_fraction=self.config.refresh_fraction,
             random_state=self.config.random_state,
         )
-        # adopt the final model: refit on seed + every queried sample
-        taught = [r.pool_index for r in result.oracle.history]
-        X_final = np.vstack([self._X_seed, X_pool[taught]])
-        y_final = np.concatenate(
-            [self._y_seed, [r.label for r in result.oracle.history]]
-        )
-        self.model = build_model(
-            self.config.model,
-            self.config.resolved_model_params(),
-            random_state=self.config.random_state,
-        )
-        self.model.fit(X_final, y_final)
+        # adopt the final model, fit on seed + every queried sample: the
+        # loop's last cold refit already is that fit; binned and warm
+        # refits are not, so those learns fit it here
+        if result.model is not None:
+            self.model = result.model
+        else:
+            taught = [r.pool_index for r in result.oracle.history]
+            X_final = np.vstack([self._X_seed, X_pool[taught]])
+            y_final = np.concatenate(
+                [self._y_seed, [r.label for r in result.oracle.history]]
+            )
+            self.model = build_model(
+                self.config.model,
+                self.config.resolved_model_params(),
+                random_state=self.config.random_state,
+            )
+            self.model.fit(X_final, y_final)
         self._train_rows = None
         return result
 

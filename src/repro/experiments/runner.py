@@ -10,7 +10,7 @@ once, with optional process-level fan-out over the (method, split) grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -160,7 +160,9 @@ def _run_single(job: tuple) -> tuple[str, int, ALResult]:
         pool_apps=prep.pool_apps,
         random_state=seed,
     )
-    return method, split_id, result
+    # only the curves and query logs are aggregated: don't ship or keep
+    # one fitted forest per (method, split) cell
+    return method, split_id, replace(result, model=None)
 
 
 def run_methods(

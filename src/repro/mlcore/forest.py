@@ -8,24 +8,32 @@ the active-learning query strategies directly, so calibration-by-averaging
 matters more here than in a plain accuracy setting.
 
 Performance model: the active-learning loop refits a forest after every
-query, so this class is the repo's hot path. Three levers, all opt-in:
+query, so this class is the repo's hot path. Every fit grows its trees in
+lockstep (:func:`repro.mlcore.tree._grow_lockstep`): one split search per
+step scores the frontier nodes of every tree in a chunk at once — the
+exact splitter sorts narrow integer keys of per-column value ranks,
+computed once per fit, instead of argsorting floats per node. Three more
+levers, all opt-in:
 
 * ``splitter="hist"`` bins the matrix once (:class:`repro.mlcore.binning`)
-  and grows every tree from shared ``uint8`` codes — split search becomes
-  an O(n) histogram per node instead of an argsort per (node, feature),
-  and bootstrap resamples are index views, never matrix copies.
+  and grows every tree from shared ``uint8`` codes — nodes wider than
+  ``max_bins`` rows are searched with an O(n) histogram instead of a
+  sort, and bootstrap resamples are index views, never matrix copies.
 * :meth:`fit_binned` accepts a pre-binned :class:`BinnedDataset`, letting
   callers (the AL loop) pay the binning cost once across many refits.
-* ``n_jobs`` fans tree fitting across the process-wide warm pool
-  (:func:`repro.parallel.shared_executor`). Under the process backend
-  the code matrices cross into workers through shared-memory segments
-  (:mod:`repro.parallel.shm`) and each task carries only its seed chunk;
-  the thread backend shares the parent's arrays outright, which is the
-  zero-overhead choice when the affinity mask offers a single core.
+* ``n_jobs`` fans seed chunks across the process-wide warm pool
+  (:func:`repro.parallel.shared_executor`); each chunk grows its trees in
+  lockstep. Under the process backend the code matrices (bin codes, or
+  ranks plus their rank → value table) cross into workers through
+  shared-memory segments (:mod:`repro.parallel.shm`) and each task
+  carries only its seed chunk; the thread backend shares the parent's
+  arrays outright, which is the zero-overhead choice when the affinity
+  mask offers a single core.
 
 Every tree derives its own RNG stream from a seed drawn up front from the
-root generator, so seeded fits are bit-identical at any ``n_jobs`` and for
-either dispatch order.
+root generator, and lockstep growth leaves each tree exactly as growing it
+alone would, so seeded fits are bit-identical at any ``n_jobs``, for any
+chunking and for either dispatch order.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from .base import (
     check_X_y,
 )
 from .binning import BinnedDataset, Binner
-from .tree import _LEAF, DecisionTreeClassifier
+from .tree import _LEAF, DecisionTreeClassifier, _dense_ranks, _grow_lockstep
 
 __all__ = ["RandomForestClassifier", "RefitReport", "DEFAULT_FOREST_BINS"]
 
@@ -96,30 +104,22 @@ def _bootstrap_indices(
 
 
 def _fit_tree_chunk(args: tuple) -> list[DecisionTreeClassifier]:
-    """Fit a batch of trees; module-level so process pools can pickle it.
+    """Fit a batch of trees in lockstep; module-level so process pools can
+    pickle it.
 
     Each tree consumes only its own seed, so the result is independent of
     how seeds are grouped into chunks or which worker runs them.
     """
-    tree_params, codes_mat, edges, X, y, n_classes, bootstrap, seeds, codes_T = args
+    tree_params, codes_mat, edges, values, y, n_classes, bootstrap, seeds, codes_T = args
     n = len(y)
-    if codes_T is None and codes_mat is not None:
-        # one feature-major copy shared by every tree in the chunk
-        codes_T = np.ascontiguousarray(codes_mat.T)
-    trees = []
+    trees, samples = [], []
     for seed in seeds:
         rng = np.random.default_rng(int(seed))
-        idx = _bootstrap_indices(rng, y, n_classes, n) if bootstrap else None
-        tree = DecisionTreeClassifier(**tree_params, random_state=rng)
-        if codes_mat is not None:
-            tree._fit_binned(
-                codes_mat, edges, y, sample_indices=idx, codes_T=codes_T
-            )
-        elif idx is not None:
-            tree.fit(X[idx], y[idx])
-        else:
-            tree.fit(X, y)
-        trees.append(tree)
+        samples.append(_bootstrap_indices(rng, y, n_classes, n) if bootstrap else None)
+        trees.append(DecisionTreeClassifier(**tree_params, random_state=rng))
+    _grow_lockstep(
+        trees, codes_mat, y, samples, edges=edges, values=values, codes_T=codes_T
+    )
     return trees
 
 
@@ -128,9 +128,11 @@ class _ShmTreeFitter:
 
     Shipped **once per pool** via the executor's function cache; each
     work item is a seed chunk (a handful of ints), so refitting a forest
-    never re-pickles the dataset. Workers attach to the segments, build
-    the same args tuple :func:`_fit_tree_chunk` has always consumed, and
-    detach before returning their trees.
+    never re-pickles the dataset. Workers attach to the segments — the
+    code matrix (bin codes or dense ranks), plus the feature-major codes
+    (hist) or the rank → value table (exact) — build the same args tuple
+    :func:`_fit_tree_chunk` consumes in-process, and detach before
+    returning their trees.
     """
 
     def __init__(
@@ -140,9 +142,9 @@ class _ShmTreeFitter:
         y: np.ndarray,
         n_classes: int,
         bootstrap: bool,
-        codes_handle: SharedArrayHandle | None,
+        codes_handle: SharedArrayHandle,
         codes_T_handle: SharedArrayHandle | None,
-        X_handle: SharedArrayHandle | None,
+        values_handle: SharedArrayHandle | None,
     ):
         self.tree_params = tree_params
         self.edges = edges
@@ -151,26 +153,22 @@ class _ShmTreeFitter:
         self.bootstrap = bootstrap
         self.codes_handle = codes_handle
         self.codes_T_handle = codes_T_handle
-        self.X_handle = X_handle
+        self.values_handle = values_handle
 
     def __call__(self, seeds: np.ndarray) -> list[DecisionTreeClassifier]:
         attachments = []
         try:
-            codes_mat = codes_T = X = None
-            if self.codes_handle is not None:
-                att = self.codes_handle.open()
+            arrays = []
+            for handle in (self.codes_handle, self.codes_T_handle, self.values_handle):
+                if handle is None:
+                    arrays.append(None)
+                    continue
+                att = handle.open()
                 attachments.append(att)
-                codes_mat = att.array
-            if self.codes_T_handle is not None:
-                att = self.codes_T_handle.open()
-                attachments.append(att)
-                codes_T = att.array
-            if self.X_handle is not None:
-                att = self.X_handle.open()
-                attachments.append(att)
-                X = att.array
+                arrays.append(att.array)
+            codes_mat, codes_T, values = arrays
             return _fit_tree_chunk(
-                (self.tree_params, codes_mat, self.edges, X, self.y,
+                (self.tree_params, codes_mat, self.edges, values, self.y,
                  self.n_classes, self.bootstrap, seeds, codes_T)
             )
         finally:
@@ -248,7 +246,9 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         X, y = check_X_y(X, y)
         if self.splitter == "hist":
             return self.fit_binned(Binner(self.max_bins).fit_dataset(X), y)
-        return self._fit_forest(X, None, None, y)
+        # exact: dense per-column ranks, computed once for every tree
+        ranks, values = _dense_ranks(X)
+        return self._fit_forest(ranks, None, values, y)
 
     def fit_binned(
         self, binned: BinnedDataset, y: np.ndarray
@@ -274,7 +274,7 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         self.binned_dataset_ = binned
         self._fit_y_ = np.asarray(y).copy()
         return self._fit_forest(
-            None, binned.codes, binned.bin_edges_, y, binned.codes_T
+            binned.codes, binned.bin_edges_, None, y, binned.codes_T
         )
 
     def refit(
@@ -373,8 +373,8 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         new_trees = [
             tree
             for chunk in self._dispatch_tree_fits(
-                self._tree_seeds_[replaced], None, binned.codes,
-                binned.bin_edges_, y_all, binned.codes_T,
+                self._tree_seeds_[replaced], binned.codes,
+                binned.bin_edges_, None, y_all, binned.codes_T,
             )
             for tree in chunk
         ]
@@ -391,22 +391,22 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 
     def _fit_forest(
         self,
-        X: np.ndarray | None,
-        codes_mat: np.ndarray | None,
+        codes_mat: np.ndarray,
         edges: list[np.ndarray] | None,
+        values: np.ndarray | None,
         y: np.ndarray,
         codes_T: np.ndarray | None = None,
     ) -> "RandomForestClassifier":
         rng = check_random_state(self.random_state)
         self.classes_ = np.unique(y)
-        self.n_features_in_ = (X if X is not None else codes_mat).shape[1]
+        self.n_features_in_ = codes_mat.shape[1]
         # one seed per tree, drawn up front: fits are reproducible at any
         # worker count and independent of chunk boundaries; the seeds are
         # kept so warm refits can regrow tree i with its original stream
         seeds = rng.integers(0, 2**63, size=self.n_estimators)
         self._tree_seeds_ = seeds
         self._refit_round_ = 0
-        results = self._dispatch_tree_fits(seeds, X, codes_mat, edges, y, codes_T)
+        results = self._dispatch_tree_fits(seeds, codes_mat, edges, values, y, codes_T)
         self.estimators_ = [tree for chunk in results for tree in chunk]
         self._finish_fit()
         return self
@@ -414,18 +414,20 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     def _dispatch_tree_fits(
         self,
         seeds: np.ndarray,
-        X: np.ndarray | None,
-        codes_mat: np.ndarray | None,
+        codes_mat: np.ndarray,
         edges: list[np.ndarray] | None,
+        values: np.ndarray | None,
         y: np.ndarray,
         codes_T: np.ndarray | None,
     ) -> list[list[DecisionTreeClassifier]]:
         """Grow one tree per seed, fanned out per ``n_jobs``/``backend``.
 
-        Shared by the initial fit and warm refits (which pass only the
-        replaced subset of the stored seed vector): each tree depends
-        only on its own seed and the data, so results are independent of
-        chunking, worker count, and which call site requested the growth.
+        ``codes_mat`` holds bin codes with their ``edges`` (hist) or dense
+        ranks with their rank → value table ``values`` (exact). Shared by
+        the initial fit and warm refits (which pass only the replaced
+        subset of the stored seed vector): each tree depends only on its
+        own seed and the data, so results are independent of chunking,
+        worker count, and which call site requested the growth.
         """
         tree_params = dict(
             criterion=self.criterion,
@@ -442,46 +444,32 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             chunk for chunk in np.array_split(seeds, n_chunks) if len(chunk)
         ]
         n_classes = len(self.classes_)
-        if n_jobs <= 1:
-            return [
-                _fit_tree_chunk(
-                    (tree_params, codes_mat, edges, X, y, n_classes,
-                     self.bootstrap, chunk, codes_T)
-                )
-                for chunk in seed_chunks
-            ]
-        executor = shared_executor(n_jobs, backend=self.backend)
-        if executor.n_workers <= 1:
-            # backend="auto" on a one-core mask degrades to serial:
-            # fit in-process, the per-tree seed streams are identical
-            return [
-                _fit_tree_chunk(
-                    (tree_params, codes_mat, edges, X, y, n_classes,
-                     self.bootstrap, chunk, codes_T)
-                )
-                for chunk in seed_chunks
-            ]
-        if executor.backend == "thread":
-            # threads share the parent's arrays outright — including
-            # the cached feature-major transpose
-            jobs = [
-                (tree_params, codes_mat, edges, X, y, n_classes,
-                 self.bootstrap, chunk, codes_T)
-                for chunk in seed_chunks
-            ]
-            return executor.map(_fit_tree_chunk, jobs)
-        return self._fit_chunks_shm(
-            executor, tree_params, codes_mat, edges, X, y,
-            n_classes, seed_chunks,
-        )
+        executor = shared_executor(n_jobs, backend=self.backend) if n_jobs > 1 else None
+        if executor is not None and executor.n_workers > 1 and executor.backend != "thread":
+            return self._fit_chunks_shm(
+                executor, tree_params, codes_mat, edges, values, y,
+                n_classes, seed_chunks,
+            )
+        jobs = [
+            (tree_params, codes_mat, edges, values, y, n_classes,
+             self.bootstrap, chunk, codes_T)
+            for chunk in seed_chunks
+        ]
+        if executor is None or executor.n_workers <= 1:
+            # serial, or backend="auto" on a one-core mask: fit
+            # in-process, the per-tree seed streams are identical
+            return [_fit_tree_chunk(job) for job in jobs]
+        # threads share the parent's arrays outright — including the
+        # cached feature-major transpose
+        return executor.map(_fit_tree_chunk, jobs)
 
     def _fit_chunks_shm(
         self,
         executor,
         tree_params: dict,
-        codes_mat: np.ndarray | None,
+        codes_mat: np.ndarray,
         edges: list[np.ndarray] | None,
-        X: np.ndarray | None,
+        values: np.ndarray | None,
         y: np.ndarray,
         n_classes: int,
         seed_chunks: list[np.ndarray],
@@ -494,18 +482,19 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         process owns them and the ``ExitStack`` closes them.
         """
         with ExitStack() as stack:
-            codes_handle = codes_T_handle = X_handle = None
-            if codes_mat is not None:
+            codes_T_handle = values_handle = None
+            if values is None:
                 # hist path: always reached via fit_binned, which stashed
                 # the dataset; share codes + the cached transpose once
                 sh_codes, sh_codes_T = self.binned_dataset_.share()
                 codes_handle = stack.enter_context(sh_codes).handle
                 codes_T_handle = stack.enter_context(sh_codes_T).handle
             else:
-                X_handle = stack.enter_context(SharedArray(X)).handle
+                codes_handle = stack.enter_context(SharedArray(codes_mat)).handle
+                values_handle = stack.enter_context(SharedArray(values)).handle
             fitter = _ShmTreeFitter(
                 tree_params, edges, y, n_classes, self.bootstrap,
-                codes_handle, codes_T_handle, X_handle,
+                codes_handle, codes_T_handle, values_handle,
             )
             return executor.map(fitter, seed_chunks)
 

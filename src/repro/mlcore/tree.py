@@ -1,4 +1,4 @@
-"""CART decision-tree classifier (vectorized, depth-first growth).
+"""CART decision-tree classifier, grown many trees at a time.
 
 This is the base learner behind :class:`repro.mlcore.forest.RandomForestClassifier`,
 the model ALBADross uses for every headline result (Table V, Figs. 3–8).
@@ -9,13 +9,23 @@ needs (``max_features`` feature subsampling, ``min_samples_leaf``).
 Implementation notes (per the hpc-parallel guides: vectorize the hot path,
 profile-driven):
 
-* Two splitters share one growth loop. ``splitter="exact"`` is fully
-  vectorized per (node, feature): one argsort, one one-hot cumulative sum,
-  and an impurity evaluation over *all* candidate thresholds at once.
-  ``splitter="hist"`` quantile-bins the matrix once (``repro.mlcore.binning``)
-  and replaces the per-node argsort with a single O(n) bincount over
+* One grower, :func:`_grow_lockstep`, grows every tree of a forest chunk
+  in lockstep; a single tree is a chunk of one. Each step takes every
+  tree's next frontier in that tree's own order — the exact splitter's
+  next depth-first splittable node, the hist splitter's next level —
+  draws its candidate features from that tree's own RNG, and scores the
+  frontier nodes of all trees in one call of a segmented split-search
+  kernel. Each tree comes out bitwise what growing it alone gives, so
+  results do not depend on lockstep or on how trees are chunked.
+* Both splitters search integer codes. ``splitter="exact"`` ranks every
+  column once per fit (dense ranks: tied values share a rank), so sorting
+  a node's rows is a radix sort of narrow ``(node, rank)`` integer keys
+  rather than a float argsort per node, and the threshold is the
+  midpoint of the two neighbouring values. ``splitter="hist"``
+  quantile-bins the matrix once (``repro.mlcore.binning``); nodes wider
+  than ``max_bins`` rows replace the sort with one O(n) bincount over
   (feature, bin, class) cells — the LightGBM trick that makes repeated
-  refits cheap; thresholds are emitted as real bin-edge values so a
+  refits cheap — and thresholds are emitted as real bin-edge values so a
   hist-trained tree predicts on raw matrices.
 * The tree is stored in flat parallel arrays (``feature``, ``threshold``,
   ``left``, ``right``, ``value``) so prediction is an iterative array walk
@@ -25,6 +35,7 @@ profile-driven):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +52,16 @@ from .binning import DEFAULT_MAX_BINS, BinnedDataset, Binner
 __all__ = ["DecisionTreeClassifier"]
 
 _LEAF = -1
+
+# numpy's stable sort is a radix sort for integer keys of at most 16 bits;
+# a split-search call packs at most this many (node, code) keys
+_RADIX_KEYS = 1 << 16
+
+# bound on a split-search call's working set, in (rows · f · k) cells:
+# ~4 MB per float64 tensor. At 4096 × 2000 a 100-tree hist fit and a
+# 16-tree exact fit ran fastest at 2**18–2**20 cells, ~15 % faster than
+# at 8M, where one step's tensors outgrow the caches
+_CHUNK_CELLS = 1 << 19
 
 
 @dataclass
@@ -80,7 +101,12 @@ def _impurity(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndar
     return -np.sum(p * logp, axis=1)
 
 
-def _mass_impurity(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
+def _mass_impurity(
+    counts: np.ndarray,
+    totals: np.ndarray,
+    criterion: str,
+    log2_counts: np.ndarray | None = None,
+) -> np.ndarray:
     """``totals * impurity(counts)`` without forming probability tensors.
 
     ``counts`` is ``(..., k)`` class counts, ``totals`` the matching
@@ -90,15 +116,568 @@ def _mass_impurity(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np
 
     * gini:    n·(1 − Σp²)      = n − Σc²/n
     * entropy: n·(−Σp·log2 p)  = n·log2 n − Σc·log2 c
+
+    ``log2_counts`` is ``log2(counts)`` (0 for empty counts) when the
+    caller already looked it up in :func:`_log2_table`.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
         if criterion == "gini":
             out = totals - np.einsum("...k,...k->...", counts, counts) / totals
         else:
-            c_logc = np.where(counts > 0, counts, 1.0)
-            c_logc = np.einsum("...k,...k->...", counts, np.log2(c_logc))
+            if log2_counts is None:
+                log2_counts = np.log2(np.where(counts > 0, counts, 1.0))
+            c_logc = np.einsum("...k,...k->...", counts, log2_counts)
             out = totals * np.log2(np.where(totals > 0, totals, 1.0)) - c_logc
     return np.where(totals > 0, out, 0.0)
+
+
+def _log2_table(n_max: int) -> np.ndarray:
+    """``log2(c)`` for every integer count ``0 <= c <= n_max`` (0 ↦ 0).
+
+    Evaluated the same way :func:`_mass_impurity` evaluates it on a
+    count tensor (``np.log2`` over a contiguous float array, 0 read as
+    1), so a lookup returns the identical bits.
+    """
+    return np.log2(np.maximum(np.arange(n_max + 1, dtype=np.float64), 1.0))
+
+
+def _key_dtype(n_keys: int) -> type:
+    """Narrowest unsigned integer dtype holding keys ``0 .. n_keys - 1``."""
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if n_keys <= int(np.iinfo(dt).max) + 1:
+            return dt
+    return np.uint64
+
+
+def _dense_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column dense value ranks of ``X`` and the rank → value table.
+
+    ``ranks[i, j]`` is the number of distinct values of column ``j`` below
+    ``X[i, j]`` (tied values share a rank), so a stable sort of a node's
+    rows by rank is the stable sort by value, tie order included.
+    ``values[j, r]`` is the value of rank ``r`` in column ``j``, so
+    ``values[j, ranks[i, j]] == X[i, j]``. Computed once per fit, this
+    turns the exact splitter's per-node float argsort into the segmented
+    kernel's integer radix sort.
+    """
+    n, n_features = X.shape
+    rank_dtype = _key_dtype(n)
+    ranks = np.empty((n_features, n), dtype=rank_dtype)
+    values = np.zeros((n_features, n))
+    n_ranks = 1
+    # feature-major blocks (each column one contiguous row to sort) of
+    # ~2**22 cells bound the sort's temporaries
+    step = max(1, (1 << 22) // n)
+    for lo in range(0, n_features, step):
+        XT = np.ascontiguousarray(X[:, lo : lo + step].T)
+        order = np.argsort(XT, axis=1)
+        xs = np.take_along_axis(XT, order, axis=1)
+        steps = np.zeros(XT.shape, dtype=rank_dtype)
+        np.not_equal(xs[:, 1:], xs[:, :-1], out=steps[:, 1:])
+        rank_sorted = np.cumsum(steps, axis=1, dtype=rank_dtype)
+        np.put_along_axis(ranks[lo : lo + step], order, rank_sorted, axis=1)
+        np.put_along_axis(
+            values[lo : lo + step], rank_sorted.astype(np.intp), xs, axis=1
+        )
+        n_ranks = max(n_ranks, int(rank_sorted[:, -1].max()) + 1)
+    return np.ascontiguousarray(ranks.T), values[:, :n_ranks]
+
+
+def _best_splits_hist(
+    sub: np.ndarray,
+    y_cat: np.ndarray,
+    sizes: np.ndarray,
+    node_counts: np.ndarray,
+    parent_imps: np.ndarray,
+    k: int,
+    criterion: str,
+    min_samples_leaf: int,
+):
+    """Segmented histogram split search over many nodes at once.
+
+    The LightGBM kernel, batched: one flattened bincount builds the
+    (node, feature, bin, class) count tensor for a whole step's worth
+    of large nodes in O(R · f), and one cumulative sum over bins scores
+    every candidate cut of every node — no sorting anywhere. Interface
+    matches :func:`_best_splits_small` (stacked code blocks in, per-node
+    winners out); ``cut`` is the largest *bin* code that goes left, which
+    the caller maps to the real-valued edge threshold.
+
+    Returns ``(ok, fpos, cut, score)``; nodes with ``ok[i] == False``
+    found no improving split.
+    """
+    R, f = sub.shape
+    S = len(sizes)
+    msl = max(1, min_samples_leaf)
+    slot = np.repeat(np.arange(S, dtype=np.int64), sizes)
+    nb = int(sub.max()) + 1
+    if nb < 2:  # every candidate feature constant in every node
+        return np.zeros(S, dtype=bool), None, None, None
+    cells = S * f * nb * k
+    # int32 index arithmetic halves the bandwidth of the three passes
+    # below; bincount re-casts to intp internally either way
+    idt = np.int32 if cells < 2**31 else np.int64
+    flat = (
+        ((slot.astype(idt) * f)[:, None] + np.arange(f, dtype=idt)) * (nb * k)
+        + sub.astype(idt) * k
+        + y_cat.astype(idt)[:, None]
+    )
+    hist = np.bincount(flat.ravel(), minlength=cells).reshape(S, f, nb, k)
+    if R < 40_000:  # sums of squared counts stay below int32 overflow
+        hist = hist.astype(np.int32)
+    left = np.cumsum(hist, axis=2)[:, :, :-1, :]  # (S, f, nb-1, k)
+    n_left = left.sum(axis=3)  # (S, f, nb-1)
+    n_node = sizes[:, None, None]
+    n_right = n_node - n_left
+    valid = (n_left >= msl) & (n_right >= msl)
+    counts = node_counts.astype(hist.dtype)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if criterion == "gini":
+            # right-side Σc² expands as Σt² − 2Σt·c_left + Σc_left², so
+            # the right-count tensor never has to be materialized; the
+            # integer sums are exact, and the float ops below mirror
+            # _mass_impurity's operation order bit-for-bit so tied
+            # candidates score identically in both kernels
+            e_l = np.einsum("sfbk,sfbk->sfb", left, left)
+            d = np.einsum("sk,sfbk->sfb", counts, left)
+            t2 = np.einsum("sk,sk->s", counts, counts)[:, None, None]
+            mass_l = n_left - e_l / n_left
+            mass_r = n_right - (t2 - 2 * d + e_l) / n_right
+            weighted = (mass_l + mass_r) / n_node
+        else:
+            right = counts[:, None, None, :] - left
+            table = _log2_table(int(sizes.max()))
+            weighted = (
+                _mass_impurity(left, n_left, criterion, table[left])
+                + _mass_impurity(right, n_right, criterion, table[right])
+            ) / n_node
+    weighted = np.where(valid, weighted, np.inf)
+    wflat = weighted.reshape(S, -1)
+    best = np.argmin(wflat, axis=1)
+    score = wflat[np.arange(S), best]
+    if np.count_nonzero(wflat == score[:, None]) > S:
+        # among tied cells pick the smallest (n_left, feature, bin) —
+        # the candidate the sort kernel's C-order (cut row, feature)
+        # argmin lands on, so hist and exact agree even under ties
+        tiekey = (
+            n_left.astype(np.int64) * f
+            + np.arange(f, dtype=np.int64)[:, None]
+        ) * (nb - 1) + np.arange(nb - 1, dtype=np.int64)
+        tiekey = np.where(
+            weighted == score[:, None, None],
+            tiekey,
+            np.iinfo(np.int64).max,
+        )
+        best = np.argmin(tiekey.reshape(S, -1), axis=1)
+    fpos, cut = np.unravel_index(best, (f, nb - 1))
+    ok = np.isfinite(score) & (score < parent_imps - 1e-12)
+    return ok, fpos, cut, score
+
+
+def _best_splits_small(
+    sub: np.ndarray,
+    y_cat: np.ndarray,
+    sizes: np.ndarray,
+    node_counts: np.ndarray,
+    parent_imps: np.ndarray,
+    k: int,
+    criterion: str,
+    min_samples_leaf: int,
+    span: int,
+):
+    """Segmented sort-based split search over many nodes at once.
+
+    ``sub`` is feature-major: ``(f, R)``, the gathered code blocks of
+    ``S`` nodes side by side (segment ``i`` spans ``sizes[i]`` columns;
+    codes lie in ``[0, span)``). ``y_cat`` holds the matching class
+    codes, ``node_counts`` the ``(S, k)`` per-node class totals,
+    ``parent_imps`` the ``(S,)`` parent impurities. A composite ``slot ·
+    span + code`` key in the narrowest unsigned dtype makes one stable
+    argsort order every segment independently — a radix sort while ``S ·
+    span ≤ 2**16`` — so all the nodes cost one set of tensor passes
+    instead of ~20 numpy calls each. Per node the result is what a float
+    argsort of its values gives: same cuts, same scores bit for bit, same
+    C-order (cut row, feature) tie-break.
+
+    Returns ``(ok, fpos, lo, hi, score)``: ``lo`` and ``hi`` are the codes
+    on either side of each node's cut row (the largest code that goes
+    left, and the next code in sorted order). Nodes with ``ok[i] ==
+    False`` found no improving split.
+    """
+    f, R = sub.shape
+    S = len(sizes)
+    msl = max(1, min_samples_leaf)
+    starts = np.zeros(S, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    slot = np.repeat(np.arange(S, dtype=np.int64), sizes)  # (R,)
+    kdt = _key_dtype(S * span)
+    offs = np.arange(S, dtype=np.int64) * span
+    key = offs.astype(kdt)[slot] + sub.astype(kdt, copy=False)  # (f, R)
+    order = np.argsort(key, axis=1, kind="stable")
+    key_sorted = np.take_along_axis(key, order, axis=1)
+    y_sorted = y_cat.astype(np.uint8)[order]  # (f, R), k <= 256
+    # int16 running counts wrap across segments, but each segment's
+    # counts (differences within it) stay exact while it holds < 2**15
+    # rows; sums of squared counts then fit int32
+    n_max = int(sizes.max())
+    cdt, sdt = (np.int16, np.int32) if n_max < 2**15 else (np.int64, np.int64)
+    onehot = y_sorted[:, None, :] == np.arange(k, dtype=np.uint8)[:, None]
+    # (f, k, R) running class counts across all segments
+    cs = np.cumsum(onehot.view(np.uint8), axis=2, dtype=cdt)
+    if S > 1:
+        # subtract each segment's prefix so counts restart at its first row
+        base = np.zeros((f, k, S), dtype=cdt)
+        base[:, :, 1:] = cs[:, :, starts[1:] - 1]
+        cs -= base[:, :, slot]
+    n_left = np.arange(R, dtype=np.int64) - starts[slot] + 1  # (R,)
+    n_node = sizes[slot]
+    n_right = n_node - n_left
+    # a cut after sorted row r is real only if row r+1 holds a different
+    # code *in the same segment*; segment-final rows die on n_right < 1
+    diff = np.zeros((f, R), dtype=bool)
+    diff[:, :-1] = key_sorted[:, 1:] != key_sorted[:, :-1]
+    valid = diff & ((n_left >= msl) & (n_right >= msl))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if criterion == "gini":
+            # same Σc_right² expansion as the histogram kernel: integer
+            # sums (exact in any order) instead of a right-count tensor,
+            # float ops in _mass_impurity's order for tie parity
+            tot = node_counts.T.astype(cdt)[:, slot]  # (k, R)
+            e_l = np.einsum("fkr,fkr->fr", cs, cs, dtype=sdt)
+            d = np.einsum("kr,fkr->fr", tot, cs, dtype=sdt)
+            t2 = np.einsum("kr,kr->r", tot, tot, dtype=sdt)
+            mass_l = n_left - e_l / n_left
+            mass_r = n_right - (t2 - 2 * d + e_l) / n_right
+            weighted = (mass_l + mass_r) / n_node  # (f, R)
+        else:
+            # Σc·log2 c reduces over a contiguous class axis, as in
+            # _mass_impurity, so the sums round identically
+            table = _log2_table(n_max)
+            left = cs.transpose(0, 2, 1).astype(np.intp, order="C")
+            right = node_counts.astype(np.intp)[slot] - left  # (f, R, k)
+            weighted = (
+                _mass_impurity(left.astype(np.float64), n_left, criterion, table[left])
+                + _mass_impurity(
+                    right.astype(np.float64), n_right, criterion, table[right]
+                )
+            ) / n_node
+    weighted = np.where(valid, weighted, np.inf)
+    rowmin = weighted.min(axis=0)  # (R,)
+    segmin = np.minimum.reduceat(rowmin, starts)  # (S,)
+    ok = np.isfinite(segmin) & (segmin < parent_imps - 1e-12)
+    # first row attaining each segment's min, then first feature at that
+    # row — matches the per-node C-order argmin tie-break exactly
+    hit_rows = np.flatnonzero(rowmin == segmin[slot])
+    r_star = hit_rows[np.unique(slot[hit_rows], return_index=True)[1]]
+    fpos = np.argmin(weighted[:, r_star], axis=0)  # (S,)
+    lo = key_sorted[fpos, r_star].astype(np.int64) - offs
+    # a valid cut row always has a same-segment successor
+    nxt = np.minimum(r_star + 1, R - 1)
+    hi = np.where(ok, key_sorted[fpos, nxt].astype(np.int64) - offs, lo)
+    return ok, fpos, lo, hi, segmin
+
+
+class _Node(NamedTuple):
+    """A frontier node waiting for this step's split search."""
+
+    growth: "_Growth"
+    node_id: int
+    rows: np.ndarray
+    depth: int
+    impurity: float
+    feats: np.ndarray  # candidate features drawn for it
+
+
+class _Split(NamedTuple):
+    """The winning split of one frontier node."""
+
+    feature: int
+    threshold: float
+    score: float  # weighted child impurity
+    left_rows: np.ndarray
+    right_rows: np.ndarray
+    left_counts: np.ndarray
+    right_counts: np.ndarray
+    left_impurity: float
+    right_impurity: float
+
+
+@dataclass
+class _Growth:
+    """One tree's state inside :func:`_grow_lockstep`."""
+
+    tree: "DecisionTreeClassifier"
+    rng: np.random.Generator
+    y: np.ndarray  # tree-local class codes of every row of the code matrix
+    n_samples: int
+    buf: _TreeBuffers
+    importances: np.ndarray
+    # (node id, row indices, depth, impurity) entries: a depth-first
+    # stack for the exact splitter, the current level for hist
+    frontier: list = field(default_factory=list)
+
+    def take(self, search: "_SplitSearch") -> list[_Node]:
+        """This tree's nodes for the next step, features drawn in order.
+
+        Exact: the next depth-first splittable node. Hist: every
+        splittable node of the next level.
+        """
+        if search.exact:
+            while self.frontier:
+                entry = self.frontier.pop()
+                if self._splittable(entry):
+                    return [_Node(self, *entry, search.draw(self.rng))]
+            return []
+        level, self.frontier = self.frontier, []
+        return [
+            _Node(self, *entry, search.draw(self.rng))
+            for entry in level
+            if self._splittable(entry)
+        ]
+
+    def _splittable(self, entry: tuple) -> bool:
+        node_id, rows, depth, _imp = entry
+        tree = self.tree
+        return (
+            (tree.max_depth is None or depth < tree.max_depth)
+            and np.count_nonzero(self.buf.value[node_id]) > 1
+            and len(rows) >= tree.min_samples_split
+        )
+
+    def apply(self, node: _Node, split: _Split) -> None:
+        """Turn ``node`` into an internal node and queue its children."""
+        # mean decrease in impurity, weighted by node population
+        self.importances[split.feature] += (len(node.rows) / self.n_samples) * (
+            node.impurity - split.score
+        )
+        buf = self.buf
+        left_id = buf.add_node(split.left_counts)
+        right_id = buf.add_node(split.right_counts)
+        buf.feature[node.node_id] = split.feature
+        buf.threshold[node.node_id] = split.threshold
+        buf.left[node.node_id] = left_id
+        buf.right[node.node_id] = right_id
+        depth = node.depth + 1
+        self.frontier.append((left_id, split.left_rows, depth, split.left_impurity))
+        self.frontier.append((right_id, split.right_rows, depth, split.right_impurity))
+
+
+class _SplitSearch:
+    """Scores a step's frontier nodes, all trees at once.
+
+    Holds what every tree of a lockstep growth shares: the code matrix
+    (dense ranks + their ``values`` table, or bin codes + ``edges``) and
+    the hyperparameters. Nodes are grouped by their tree's class count,
+    hist nodes wider than ``max_bins`` rows go to the histogram kernel
+    and every other node to the segmented sort kernel, in chunks that
+    bound each call's working set and keep sort keys radix-sortable.
+    """
+
+    def __init__(
+        self,
+        proto: "DecisionTreeClassifier",
+        codes: np.ndarray,
+        edges: list[np.ndarray] | None,
+        values: np.ndarray | None,
+        codes_T: np.ndarray | None,
+    ):
+        self.exact = values is not None
+        self.codes, self.edges, self.values = codes, edges, values
+        self.n_features = codes.shape[1]
+        self.n_cand = proto._n_candidate_features(self.n_features)
+        self.all_feats = np.arange(self.n_features)
+        self.criterion = proto.criterion
+        self.min_samples_leaf = proto.min_samples_leaf
+        self.max_bins = proto.max_bins
+        self.span = values.shape[1] if self.exact else max(len(e) for e in edges) + 1
+        if not self.exact and codes_T is None and len(codes) > self.max_bins:
+            # row-major codes scatter one cache line per gathered cell;
+            # routing big nodes through the transposed copy keeps each
+            # node's candidate block (n_cand contiguous rows of codes.T)
+            # cache-resident
+            codes_T = np.ascontiguousarray(codes.T)
+        self.codes_T = codes_T
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        if self.n_cand < self.n_features:
+            return rng.choice(self.n_features, size=self.n_cand, replace=False)
+        return self.all_feats
+
+    def split(self, nodes: list[_Node]) -> list[_Split | None]:
+        """The best improving split of every node (``None``: none)."""
+        out: list = [None] * len(nodes)
+        by_k: dict[int, list[int]] = {}
+        for i, node in enumerate(nodes):
+            by_k.setdefault(node.growth.tree._n_classes, []).append(i)
+        for k, members in by_k.items():
+            is_big = [
+                not self.exact and len(nodes[i].rows) > self.max_bins for i in members
+            ]
+            rows_cap = _CHUNK_CELLS // max(1, self.n_cand * k)
+            if not self.exact:
+                rows_cap = max(self.max_bins, rows_cap)
+            found: list[tuple] = []
+            for hist in (True, False):
+                positions = [i for i, big in zip(members, is_big) if big == hist]
+                # a histogram node costs a full bin axis, a sorted node its
+                # rows; a sort call also packs at most _RADIX_KEYS keys
+                cost = (lambda i: self.max_bins) if hist else (lambda i: len(nodes[i].rows))
+                max_segs = len(positions) if hist else max(1, _RADIX_KEYS // self.span)
+                at = 0
+                while at < len(positions):
+                    chunk = [positions[at]]
+                    used = cost(positions[at])
+                    at += 1
+                    while (
+                        at < len(positions)
+                        and len(chunk) < max_segs
+                        and used + cost(positions[at]) <= rows_cap
+                    ):
+                        used += cost(positions[at])
+                        chunk.append(positions[at])
+                        at += 1
+                    found += self._split_chunk(nodes, chunk, hist, k)
+            if not found:
+                continue
+            # every child's impurity in one call; rows are independent
+            cc = np.concatenate([f[1] for f in found])
+            imps = _impurity(cc, cc.sum(axis=1), self.criterion)
+            for n, (i, counts, head) in enumerate(found):
+                out[i] = _Split(
+                    *head, counts[0], counts[1],
+                    float(imps[2 * n]), float(imps[2 * n + 1]),
+                )
+        return out
+
+    def _split_chunk(
+        self, nodes: list[_Node], chunk: list[int], hist: bool, k: int
+    ) -> list[tuple]:
+        """One kernel call over ``nodes[chunk]``; partition the winners.
+
+        Returns ``(node position, (left, right) class counts, (feature,
+        threshold, score, left rows, right rows))`` per improving split.
+        """
+        part = [nodes[i] for i in chunk]
+        S = len(part)
+        sizes = np.array([len(node.rows) for node in part], dtype=np.int64)
+        idx_cat = np.concatenate([node.rows for node in part])
+        slot = np.repeat(np.arange(S), sizes)
+        featmat = np.stack([node.feats for node in part])
+        if len({id(node.growth.y) for node in part}) == 1:
+            y_cat = part[0].growth.y[idx_cat]
+        else:
+            y_cat = np.concatenate([node.growth.y[node.rows] for node in part])
+        counts = np.stack([node.growth.buf.value[node.node_id] for node in part])
+        parent_imps = np.array([node.impurity for node in part])
+        args = (
+            y_cat, sizes, counts.astype(np.int32), parent_imps, k,
+            self.criterion, self.min_samples_leaf,
+        )
+        if hist:
+            sub = np.vstack(
+                [self.codes_T[node.feats][:, node.rows].T for node in part]
+            )
+            ok, fpos, lo, score = _best_splits_hist(sub, *args)
+        else:
+            sub = self.codes[idx_cat, featmat[slot].T]  # (n_cand, R)
+            ok, fpos, lo, hi, score = _best_splits_small(sub, *args, self.span)
+        if not ok.any():
+            return []
+        j = featmat[np.arange(S), fpos]
+        col = self.codes[idx_cat, j[slot]]
+        if self.exact:
+            # the midpoint of the two neighbouring values, and the rows
+            # partitioned by value (x <= thr), as a float search does
+            thr = 0.5 * (self.values[j, lo] + self.values[j, hi])
+            mask = self.values[j[slot], col] <= thr[slot]
+        else:
+            mask = col <= lo[slot]
+        left = np.bincount((slot * k + y_cat)[mask], minlength=S * k).reshape(S, k)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        found = []
+        for s in np.flatnonzero(ok):
+            rows = part[s].rows
+            m = mask[bounds[s] : bounds[s + 1]]
+            feature = int(j[s])
+            # hist emits the bin's real-valued upper edge
+            threshold = float(thr[s] if self.exact else self.edges[feature][lo[s]])
+            cc = np.empty((2, k))
+            cc[0] = left[s]
+            cc[1] = counts[s] - cc[0]
+            found.append(
+                (chunk[s], cc, (feature, threshold, float(score[s]), rows[m], rows[~m]))
+            )
+        return found
+
+
+def _grow_lockstep(
+    trees: list["DecisionTreeClassifier"],
+    codes: np.ndarray,
+    y: np.ndarray,
+    samples: list[np.ndarray | None],
+    *,
+    edges: list[np.ndarray] | None = None,
+    values: np.ndarray | None = None,
+    codes_T: np.ndarray | None = None,
+) -> None:
+    """Grow ``trees`` (same hyperparameters) together on one code matrix.
+
+    ``codes`` is ``(n, F)``: dense ranks with their rank → value table
+    ``values`` for the exact splitter (:func:`_dense_ranks`), or bin codes
+    with their per-feature ``edges`` for hist (``codes_T`` is the cached
+    feature-major copy, built here when a node can need it).
+    ``samples[t]`` holds tree ``t``'s root rows (duplicates allowed — a
+    bootstrap resample) or ``None`` for every row; each tree's
+    ``random_state`` drives its own feature draws. Every step advances
+    each tree by its next frontier — exact: the next depth-first
+    splittable node; hist: the next level — and scores all of them in one
+    :class:`_SplitSearch`. Trees come out bitwise what growing each alone
+    gives, field by field.
+    """
+    search = _SplitSearch(trees[0], codes, edges, values, codes_T)
+    classes, all_codes = encode_labels(y)
+    growths: list[_Growth] = []
+    for tree, rows in zip(trees, samples):
+        rng = check_random_state(tree.random_state)
+        if rows is None:
+            rows = np.arange(len(codes))
+            tree.classes_, tree_y = classes.copy(), all_codes
+        else:
+            rows = np.asarray(rows)
+            # class list comes from the resample, matching fit(X[rows], y[rows])
+            seen = np.unique(all_codes[rows])
+            tree.classes_ = classes[seen]
+            # garbage for unseen classes: ok, they never occur in rows
+            tree_y = all_codes if len(seen) == len(classes) else np.searchsorted(
+                seen, all_codes
+            )
+        k = len(tree.classes_)
+        tree._n_classes = k
+        tree.n_features_in_ = search.n_features
+        buf = _TreeBuffers()
+        buf.add_node(np.bincount(tree_y[rows], minlength=k).astype(float))
+        growth = _Growth(tree, rng, tree_y, len(rows), buf, np.zeros(search.n_features))
+        growth.frontier.append(rows)
+        growths.append(growth)
+    # root impurities, one call per class count (rows are independent)
+    for k in {g.tree._n_classes for g in growths}:
+        group = [g for g in growths if g.tree._n_classes == k]
+        roots = np.stack([g.buf.value[0] for g in group])
+        for g, imp in zip(group, _impurity(roots, roots.sum(axis=1), search.criterion)):
+            g.frontier = [(0, g.frontier[0], 0, float(imp))]
+
+    # without a feature to split on every tree stays a stump
+    live = growths if search.n_features else []
+    while live:
+        nodes = [node for g in live for node in g.take(search)]
+        if not nodes:
+            break
+        for node, split in zip(nodes, search.split(nodes)):
+            if split is not None:
+                node.growth.apply(node, split)
+        live = [g for g in live if g.frontier]
+    for g in growths:
+        g.tree._finalize(g.buf, g.importances)
 
 
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
@@ -118,9 +697,9 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         Number of features examined per split: ``None`` (all), ``"sqrt"``,
         ``"log2"``, an int, or a float fraction. Forests pass ``"sqrt"``.
     splitter:
-        ``"exact"`` (argsort every candidate feature per node — the
+        ``"exact"`` (every distinct value is a candidate cut — the
         reference path, default for seeded reproducibility) or ``"hist"``
-        (bin once, O(n) histogram split search per node).
+        (bin once; cuts on bin edges, O(n) histogram search for big nodes).
     max_bins:
         Bins per feature for the hist splitter (2..256; uint8 codes).
     random_state:
@@ -166,235 +745,8 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             return min(int(mf), n_features)
         raise ValueError(f"unsupported max_features: {mf!r}")
 
-    def _best_split(
-        self,
-        Xs: np.ndarray,
-        y_node: np.ndarray,
-        parent_impurity: float,
-    ) -> tuple[int, float, float, np.ndarray] | None:
-        """Best (candidate position, threshold, child impurity, left mask).
-
-        ``Xs`` is the node's already-gathered ``(n, f)`` candidate-feature
-        block and ``y_node`` its class codes. Evaluates every candidate
-        feature at once: one argsort, one one-hot running count, one argmin
-        over all cuts. Returns ``None`` when no valid split exists (all
-        candidate features constant, or every cut violates
-        ``min_samples_leaf``).
-        """
-        n, _ = Xs.shape
-        k = self._n_classes
-        order = np.argsort(Xs, axis=0, kind="stable")
-        xs_sorted = np.take_along_axis(Xs, order, axis=0)
-        diff = xs_sorted[1:] != xs_sorted[:-1]  # (n-1, f)
-        if not diff.any():
-            return None
-        y_sorted = y_node[order]  # (n, f)
-        onehot = (
-            y_sorted[:, :, None] == np.arange(k)[None, None, :]
-        ).astype(np.float64)  # (n, f, k)
-        left_counts = np.cumsum(onehot, axis=0)[:-1]  # (n-1, f, k)
-        total_counts = left_counts[-1] + onehot[-1]  # (f, k)
-        right_counts = total_counts[None] - left_counts
-        n_left = np.arange(1, n, dtype=np.float64)[:, None]  # (n-1, 1)
-        n_right = n - n_left
-        valid = (
-            diff
-            & (n_left >= self.min_samples_leaf)
-            & (n_right >= self.min_samples_leaf)
-        )
-        if not valid.any():
-            return None
-        weighted = (
-            _mass_impurity(left_counts, np.broadcast_to(n_left, diff.shape), self.criterion)
-            + _mass_impurity(right_counts, np.broadcast_to(n_right, diff.shape), self.criterion)
-        ) / n  # (n-1, f)
-        weighted = np.where(valid, weighted, np.inf)
-        flat = int(np.argmin(weighted))
-        cut, fpos = np.unravel_index(flat, weighted.shape)
-        score = float(weighted[cut, fpos])
-        if score >= parent_impurity - 1e-12:  # must strictly improve
-            return None
-        thr = 0.5 * (xs_sorted[cut, fpos] + xs_sorted[cut + 1, fpos])
-        return int(fpos), float(thr), score, Xs[:, fpos] <= thr
-
-    def _best_splits_hist(
-        self,
-        sub: np.ndarray,
-        y_cat: np.ndarray,
-        sizes: np.ndarray,
-        node_counts: np.ndarray,
-        parent_imps: np.ndarray,
-    ):
-        """Segmented histogram split search over many nodes at once.
-
-        The LightGBM kernel, batched: one flattened bincount builds the
-        (node, feature, bin, class) count tensor for a whole level's worth
-        of large nodes in O(R · f), and one cumulative sum over bins scores
-        every candidate cut of every node — no sorting anywhere. Interface
-        matches :meth:`_best_splits_small` (stacked code blocks in, per-node
-        winners out); ``cut`` comes back as a *bin* index the caller maps to
-        the real-valued edge threshold.
-        """
-        R, f = sub.shape
-        S = len(sizes)
-        k = self._n_classes
-        msl = max(1, self.min_samples_leaf)
-        starts = np.zeros(S, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        slot = np.repeat(np.arange(S, dtype=np.int64), sizes)
-        nb = int(sub.max()) + 1
-        if nb < 2:  # every candidate feature constant in every node
-            return (np.zeros(S, dtype=bool),) + (None,) * 5
-        cells = S * f * nb * k
-        # int32 index arithmetic halves the bandwidth of the three passes
-        # below; bincount re-casts to intp internally either way
-        idt = np.int32 if cells < 2**31 else np.int64
-        flat = (
-            ((slot.astype(idt) * f)[:, None] + np.arange(f, dtype=idt)) * (nb * k)
-            + sub.astype(idt) * k
-            + y_cat.astype(idt)[:, None]
-        )
-        hist = np.bincount(flat.ravel(), minlength=cells).reshape(S, f, nb, k)
-        if R < 40_000:  # sums of squared counts stay below int32 overflow
-            hist = hist.astype(np.int32)
-        left = np.cumsum(hist, axis=2)[:, :, :-1, :]  # (S, f, nb-1, k)
-        n_left = left.sum(axis=3)  # (S, f, nb-1)
-        n_node = sizes[:, None, None]
-        n_right = n_node - n_left
-        valid = (n_left >= msl) & (n_right >= msl)
-        counts = node_counts.astype(hist.dtype)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if self.criterion == "gini":
-                # right-side Σc² expands as Σt² − 2Σt·c_left + Σc_left², so
-                # the right-count tensor never has to be materialized; the
-                # integer sums are exact, and the float ops below mirror
-                # the exact splitter's operation order bit-for-bit so tied
-                # candidates score identically on both paths
-                e_l = np.einsum("sfbk,sfbk->sfb", left, left)
-                d = np.einsum("sk,sfbk->sfb", counts, left)
-                t2 = np.einsum("sk,sk->s", counts, counts)[:, None, None]
-                mass_l = n_left - e_l / n_left
-                mass_r = n_right - (t2 - 2 * d + e_l) / n_right
-                weighted = (mass_l + mass_r) / n_node
-            else:
-                right = counts[:, None, None, :] - left
-                weighted = (
-                    _mass_impurity(left, n_left, self.criterion)
-                    + _mass_impurity(right, n_right, self.criterion)
-                ) / n_node
-        weighted = np.where(valid, weighted, np.inf)
-        wflat = weighted.reshape(S, -1)
-        best = np.argmin(wflat, axis=1)
-        score = wflat[np.arange(S), best]
-        if np.count_nonzero(wflat == score[:, None]) > S:
-            # among tied cells pick the smallest (n_left, feature, bin) —
-            # the candidate the exact splitter's C-order (cut row, feature)
-            # argmin lands on, so hist and exact agree even under ties
-            tiekey = (
-                n_left.astype(np.int64) * f
-                + np.arange(f, dtype=np.int64)[:, None]
-            ) * (nb - 1) + np.arange(nb - 1, dtype=np.int64)
-            tiekey = np.where(
-                weighted == score[:, None, None],
-                tiekey,
-                np.iinfo(np.int64).max,
-            )
-            best = np.argmin(tiekey.reshape(S, -1), axis=1)
-        fpos, cut = np.unravel_index(best, (f, nb - 1))
-        ok = np.isfinite(score) & (score < parent_imps - 1e-12)
-        lc = left[np.arange(S), fpos, cut]  # (S, k)
-        col = sub[np.arange(R), fpos[slot]]
-        left_mask = col <= cut[slot]
-        return ok, fpos, cut, score, lc, left_mask
-
-    def _best_splits_small(
-        self,
-        sub: np.ndarray,
-        y_cat: np.ndarray,
-        sizes: np.ndarray,
-        node_counts: np.ndarray,
-        parent_imps: np.ndarray,
-    ):
-        """Segmented split search over *many* small nodes at once.
-
-        ``sub`` stacks the gathered ``(n_i, f)`` code blocks of ``S``
-        nodes row-wise (segment ``i`` spans ``sizes[i]`` rows); ``y_cat``
-        holds the matching class codes, ``node_counts`` the ``(S, k)``
-        per-node class totals, ``parent_imps`` the ``(S,)`` parent
-        impurities. A composite ``slot * 256 + code`` key makes one radix
-        argsort order every segment independently, so the whole level's
-        small nodes cost one set of tensor passes instead of ~20 numpy
-        calls each. Per node the result is bit-identical to running the
-        sort-based search on that node alone (same C-order tie-break).
-
-        Returns ``(ok, fpos, cut_code, score, left_counts, left_mask)``
-        where ``left_mask`` is in stacked original row order and nodes
-        with ``ok[i] == False`` found no improving split.
-        """
-        R, f = sub.shape
-        S = len(sizes)
-        k = self._n_classes
-        msl = max(1, self.min_samples_leaf)
-        starts = np.zeros(S, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        slot = np.repeat(np.arange(S, dtype=np.int32), sizes)  # (R,)
-        key = slot[:, None] * np.int32(256) + sub  # (R, f) int32
-        order = np.argsort(key, axis=0, kind="stable")
-        key_sorted = np.take_along_axis(key, order, axis=0)
-        y_sorted = y_cat.astype(np.uint8)[order]  # (R, f), k <= 256
-        cs = np.cumsum(
-            y_sorted[:, :, None] == np.arange(k, dtype=np.uint8),
-            axis=0,
-            dtype=np.int32,
-        )  # (R, f, k) running class counts across all segments
-        # subtract each segment's prefix so counts restart at its first row
-        base = np.zeros((S, f, k), dtype=np.int32)
-        if S > 1:
-            base[1:] = cs[starts[1:] - 1]
-        left_counts = cs - base[slot]  # (R, f, k)
-        n_left = (np.arange(R, dtype=np.int64) - starts[slot] + 1)[:, None]
-        n_node = sizes[slot][:, None]
-        n_right = n_node - n_left
-        # a cut after sorted row r is real only if row r+1 holds a different
-        # code *in the same segment*; segment-final rows die on n_right < 1
-        diff = np.zeros((R, f), dtype=bool)
-        diff[:-1] = key_sorted[1:] != key_sorted[:-1]
-        valid = diff & (n_left >= msl) & (n_right >= msl)
-        tot_rows = node_counts[slot]  # (R, k)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if self.criterion == "gini":
-                # same Σc_right² expansion as the histogram kernel: one
-                # einsum per side instead of a full right-count tensor,
-                # float ops in the exact splitter's order for tie parity
-                e_l = np.einsum("rfk,rfk->rf", left_counts, left_counts)
-                d = np.einsum("rk,rfk->rf", tot_rows, left_counts)
-                t2 = np.einsum("rk,rk->r", tot_rows, tot_rows)[:, None]
-                mass_l = n_left - e_l / n_left
-                mass_r = n_right - (t2 - 2 * d + e_l) / n_right
-                weighted = (mass_l + mass_r) / n_node  # (R, f)
-            else:
-                right_counts = tot_rows[:, None, :] - left_counts
-                weighted = (
-                    _mass_impurity(left_counts, n_left, self.criterion)
-                    + _mass_impurity(right_counts, n_right, self.criterion)
-                ) / n_node
-        weighted = np.where(valid, weighted, np.inf)
-        rowmin = weighted.min(axis=1)  # (R,)
-        segmin = np.minimum.reduceat(rowmin, starts)  # (S,)
-        ok = np.isfinite(segmin) & (segmin < parent_imps - 1e-12)
-        # first row attaining each segment's min, then first feature at that
-        # row — matches the per-node C-order argmin tie-break exactly
-        hit_rows = np.flatnonzero(rowmin == segmin[slot])
-        r_star = hit_rows[np.unique(slot[hit_rows], return_index=True)[1]]
-        fpos = np.argmin(weighted[r_star], axis=1)  # (S,)
-        cut_code = key_sorted[r_star, fpos] - np.arange(S, dtype=np.int32) * 256
-        col = sub[np.arange(R), fpos[slot]]  # chosen feature column per row
-        left_mask = col <= cut_code[slot]
-        lc = left_counts[r_star, fpos]  # (S, k)
-        return ok, fpos, cut_code, segmin, lc, left_mask
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
-        """Grow the tree depth-first on ``(X, y)``."""
+        """Grow the tree on ``(X, y)``."""
         X, y = check_X_y(X, y)
         if self.splitter not in ("exact", "hist"):
             raise ValueError(
@@ -402,8 +754,12 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             )
         if self.splitter == "hist":
             binner = Binner(self.max_bins)
-            return self._fit_binned(binner.fit_transform(X), binner.bin_edges_, y)
-        return self._fit_arrays(X, y)
+            codes = binner.fit_transform(X)
+            _grow_lockstep([self], codes, y, [None], edges=binner.bin_edges_)
+        else:
+            ranks, values = _dense_ranks(X)
+            _grow_lockstep([self], ranks, y, [None], values=values)
+        return self
 
     def fit_binned(
         self,
@@ -422,250 +778,11 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             raise ValueError(
                 f"binned has {binned.n_samples} samples but y has {len(y)}"
             )
-        return self._fit_binned(
-            binned.codes, binned.bin_edges_, y, sample_indices, binned.codes_T
+        _grow_lockstep(
+            [self], binned.codes, y, [sample_indices],
+            edges=binned.bin_edges_, codes_T=binned.codes_T,
         )
-
-    def _fit_arrays(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-    ) -> "DecisionTreeClassifier":
-        """Exact-splitter growth loop (depth-first, reference path)."""
-        rng = check_random_state(self.random_state)
-        self.classes_, codes = encode_labels(y)
-        self._n_classes = len(self.classes_)
-        n_samples, n_features = X.shape
-        self.n_features_in_ = n_features
-        n_cand = self._n_candidate_features(n_features)
-
-        buf = _TreeBuffers()
-        root_counts = np.bincount(codes, minlength=self._n_classes).astype(float)
-        root = buf.add_node(root_counts)
-        importances = np.zeros(n_features)
-        # stack of (node_id, sample indices, depth)
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n_samples), 0)]
-
-        while stack:
-            node_id, idx, depth = stack.pop()
-            counts = buf.value[node_id]
-            pure = np.count_nonzero(counts) <= 1
-            too_deep = self.max_depth is not None and depth >= self.max_depth
-            too_small = len(idx) < self.min_samples_split
-            if pure or too_deep or too_small:
-                continue
-            parent_imp = float(
-                _impurity(counts[None, :], np.array([counts.sum()]), self.criterion)[0]
-            )
-            if n_cand < n_features:
-                feats = rng.choice(n_features, size=n_cand, replace=False)
-            else:
-                feats = np.arange(n_features)
-            sub = X[np.ix_(idx, feats)]
-            y_node = codes[idx]
-            split = self._best_split(sub, y_node, parent_imp)
-            if split is None:
-                continue
-            fpos, thr, child_imp, mask = split
-            j = int(feats[fpos])
-            # mean decrease in impurity, weighted by node population
-            importances[j] += (len(idx) / n_samples) * (parent_imp - child_imp)
-            left_idx, right_idx = idx[mask], idx[~mask]
-            left_counts = np.bincount(codes[left_idx], minlength=self._n_classes)
-            right_counts = counts - left_counts
-            left_id = buf.add_node(left_counts.astype(float))
-            right_id = buf.add_node(right_counts.astype(float))
-            buf.feature[node_id] = j
-            buf.threshold[node_id] = thr
-            buf.left[node_id] = left_id
-            buf.right[node_id] = right_id
-            stack.append((left_id, left_idx, depth + 1))
-            stack.append((right_id, right_idx, depth + 1))
-
-        return self._finalize(buf, importances)
-
-    def _fit_binned(
-        self,
-        X: np.ndarray,
-        edges: list[np.ndarray],
-        y: np.ndarray,
-        sample_indices: np.ndarray | None = None,
-        codes_T: np.ndarray | None = None,
-    ) -> "DecisionTreeClassifier":
-        """Breadth-first growth over bin codes (the hist hot path).
-
-        Level-wise batching: nodes still wider than ``max_bins`` run the
-        O(n) histogram kernel individually (there are at most a handful
-        per level); every *small* node on the level is folded into one
-        segmented sort-based search (:meth:`_best_splits_small`). Child
-        class counts fall out of the split search and child impurities
-        are evaluated for the whole next level in one call, so per-node
-        Python work shrinks to partitioning its index array.
-        """
-        rng = check_random_state(self.random_state)
-        n_features = X.shape[1]
-        if sample_indices is None:
-            root_idx = np.arange(X.shape[0])
-            self.classes_, codes = encode_labels(y)
-        else:
-            root_idx = np.asarray(sample_indices)
-            self.classes_, all_codes = encode_labels(y)
-            # class list comes from the resample, matching fit(X[idx], y[idx])
-            seen = np.unique(all_codes[root_idx])
-            self.classes_ = self.classes_[seen]
-            codes = np.searchsorted(seen, all_codes)  # garbage for unseen: ok,
-            # unseen classes never appear in root_idx so never get counted
-        self._n_classes = len(self.classes_)
-        n_samples = len(root_idx)
-        self.n_features_in_ = n_features
-        n_cand = self._n_candidate_features(n_features)
-        k = self._n_classes
-
-        buf = _TreeBuffers()
-        root_counts = np.bincount(codes[root_idx], minlength=k).astype(float)
-        root = buf.add_node(root_counts)
-        importances = np.zeros(n_features)
-        root_imp = float(
-            _impurity(
-                root_counts[None, :], np.array([root_counts.sum()]), self.criterion
-            )[0]
-        )
-        # (node_id, row indices, class counts, impurity)
-        level = [(root, root_idx, root_counts, root_imp)]
-        depth = 0
-        # bound the segmented kernel's working set (rows · f · k int32 cells)
-        rows_cap = max(int(self.max_bins), 8_000_000 // max(1, n_cand * k))
-
-        while level:
-            if self.max_depth is not None and depth >= self.max_depth:
-                break
-            splittable = [
-                node
-                for node in level
-                if np.count_nonzero(node[2]) > 1
-                and len(node[1]) >= self.min_samples_split
-            ]
-            if not splittable:
-                break
-            if n_cand < n_features:
-                featmat = np.stack(
-                    [
-                        rng.choice(n_features, size=n_cand, replace=False)
-                        for _ in splittable
-                    ]
-                )
-            else:
-                featmat = np.broadcast_to(
-                    np.arange(n_features), (len(splittable), n_features)
-                )
-            # (level position, fpos, bin cut, score, left counts, left mask)
-            found: list[tuple] = []
-            big: list[int] = []
-            small: list[int] = []
-            for pos, node in enumerate(splittable):
-                (small if len(node[1]) <= self.max_bins else big).append(pos)
-            # each kernel call's working set is ~cost · n_cand · k int32
-            # cells: a small node costs its row count, a histogram node a
-            # full bin axis — chunk so either stays cache-resident
-            for positions, kernel, cost in (
-                (big, self._best_splits_hist, lambda p: self.max_bins),
-                (small, self._best_splits_small, lambda p: len(splittable[p][1])),
-            ):
-                at = 0
-                while at < len(positions):
-                    chunk = [positions[at]]
-                    used = cost(positions[at])
-                    at += 1
-                    while (
-                        at < len(positions)
-                        and used + cost(positions[at]) <= rows_cap
-                    ):
-                        used += cost(positions[at])
-                        chunk.append(positions[at])
-                        at += 1
-                    idx_cat = np.concatenate([splittable[p][1] for p in chunk])
-                    sizes = np.array(
-                        [len(splittable[p][1]) for p in chunk], dtype=np.int64
-                    )
-                    slot = np.repeat(np.arange(len(chunk)), sizes)
-                    if kernel is self._best_splits_hist:
-                        # row-major X scatters one cache line per gathered
-                        # cell; routing big nodes through the transposed
-                        # copy keeps each node's candidate block (n_cand
-                        # contiguous rows of X.T) cache-resident
-                        if codes_T is None:
-                            codes_T = np.ascontiguousarray(X.T)
-                        sub = np.vstack(
-                            [
-                                codes_T[featmat[p]][:, splittable[p][1]].T
-                                for p in chunk
-                            ]
-                        )
-                    else:
-                        sub = X[idx_cat[:, None], featmat[chunk][slot]]
-                    counts_chunk = np.stack(
-                        [splittable[p][2] for p in chunk]
-                    ).astype(np.int32)
-                    imps_chunk = np.array([splittable[p][3] for p in chunk])
-                    ok, fpos_a, cut_a, score_a, lc_a, mask_a = kernel(
-                        sub, codes[idx_cat], sizes, counts_chunk, imps_chunk
-                    )
-                    if not ok.any():
-                        continue
-                    bounds = np.concatenate([[0], np.cumsum(sizes)])
-                    for ci, p in enumerate(chunk):
-                        if ok[ci]:
-                            found.append(
-                                (
-                                    p,
-                                    int(fpos_a[ci]),
-                                    int(cut_a[ci]),
-                                    float(score_a[ci]),
-                                    lc_a[ci],
-                                    mask_a[bounds[ci] : bounds[ci + 1]],
-                                )
-                            )
-            if not found:
-                break
-            found.sort(key=lambda t: t[0])  # BFS ids independent of kernel path
-            m = len(found)
-            pos_a = np.array([t[0] for t in found])
-            fpos_a = np.array([t[1] for t in found])
-            score_a = np.array([t[3] for t in found])
-            j_a = featmat[pos_a, fpos_a]
-            sz_a = np.array([len(splittable[p][1]) for p in pos_a], dtype=float)
-            imp_a = np.array([splittable[p][3] for p in pos_a])
-            # accumulation order matches the per-split loop: found is in
-            # level order, and add.at applies repeated indices in order
-            np.add.at(importances, j_a, (sz_a / n_samples) * (imp_a - score_a))
-            lc_mat = np.stack([t[4] for t in found]).astype(float)
-            counts_mat = np.stack([splittable[p][2] for p in pos_a])
-            cc = np.empty((2 * m, k))
-            cc[0::2] = lc_mat
-            cc[1::2] = counts_mat - lc_mat
-            first_child = len(buf.feature)
-            buf.feature.extend([_LEAF] * (2 * m))
-            buf.threshold.extend([0.0] * (2 * m))
-            buf.left.extend([_LEAF] * (2 * m))
-            buf.right.extend([_LEAF] * (2 * m))
-            buf.value.extend(cc)
-            imps = _impurity(cc, cc.sum(axis=1), self.criterion)
-            level = []
-            for i, (pos, _fpos, cut, _score, _lc, mask) in enumerate(found):
-                node_id, idx = splittable[pos][0], splittable[pos][1]
-                j = int(j_a[i])
-                left_id = first_child + 2 * i
-                buf.feature[node_id] = j
-                buf.threshold[node_id] = float(edges[j][cut])
-                buf.left[node_id] = left_id
-                buf.right[node_id] = left_id + 1
-                level.append((left_id, idx[mask], cc[2 * i], float(imps[2 * i])))
-                level.append(
-                    (left_id + 1, idx[~mask], cc[2 * i + 1], float(imps[2 * i + 1]))
-                )
-            depth += 1
-
-        return self._finalize(buf, importances)
+        return self
 
     def _finalize(
         self, buf: _TreeBuffers, importances: np.ndarray

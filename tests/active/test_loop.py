@@ -185,3 +185,37 @@ class TestValidation:
         r2 = run_active_learning(_rf(), "margin", X_seed, y_seed, X_pool, y_pool, X_test, y_test, **kwargs)
         assert np.array_equal(r1.f1, r2.f1)
         assert [a.pool_index for a in r1.oracle.history] == [a.pool_index for a in r2.oracle.history]
+
+
+class TestFinalModel:
+    """``ALResult.model``: the final model, when it is a plain cold fit."""
+
+    def _run(self, problem, est, n_queries=6, **kw):
+        X_seed, y_seed, X_pool, y_pool, _, X_test, y_test = problem
+        return run_active_learning(
+            est, "uncertainty", X_seed, y_seed, X_pool, y_pool, X_test, y_test,
+            n_queries=n_queries, random_state=0, **kw,
+        )
+
+    def test_cold_refits_return_the_seed_plus_taught_fit(self, problem):
+        import pickle
+
+        X_seed, y_seed, X_pool, _, _, _, _ = problem
+        res = self._run(problem, _rf())
+        assert res.model is not None
+        taught = [r.pool_index for r in res.oracle.history]
+        y_final = np.concatenate([y_seed, [r.label for r in res.oracle.history]])
+        fresh = _rf().fit(np.vstack([X_seed, X_pool[taught]]), y_final)
+        assert pickle.dumps(res.model) == pickle.dumps(fresh)
+
+    def test_no_query_returns_none(self, problem):
+        assert self._run(problem, _rf(), n_queries=0).model is None
+
+    def test_binned_and_warm_refits_return_none(self, problem):
+        hist = RandomForestClassifier(n_estimators=10, splitter="hist", random_state=0)
+        assert self._run(problem, hist).model is None
+        assert self._run(problem, hist, warm_start=True).model is None
+
+    def test_shared_representation_returns_none(self, problem):
+        proctor = ProctorModel(code_size=2, hidden_layer_sizes=(4,), ae_epochs=2, random_state=0)
+        assert self._run(problem, proctor, n_queries=2).model is None
