@@ -31,9 +31,10 @@ Parallel speedup is recorded alongside the *effective* CPU count (the
 affinity mask, not the machine) and only asserted (≥3x at 4 workers)
 when the mask actually offers ≥4 cores and the full profile is running.
 On any box the parallel arm must stay within 5% of serial (speedup
-≥ 0.95x): the zero-copy substrate resolves ``backend="auto"`` to
-threads when the mask has one core and ships work through shared
-memory otherwise, so ``n_jobs`` must never be a slowdown.
+≥ 0.95x): ``repro.parallel.map_blocks`` keeps work in-process when the
+mask has one core or a fan-out would save less than the pool's round
+trip, and ships work through shared memory otherwise, so ``n_jobs``
+must never be a slowdown.
 
 ``DATA_PLANE_PROFILE=smoke`` shrinks the campaign for CI; the smoke
 numbers gate regressions against ``benchmarks/baselines/`` via
@@ -149,9 +150,9 @@ class TestBuildDataset:
             "bit_identical": True,
             "note": (
                 "speedup is bounded by the affinity mask; on a one-core "
-                "mask backend=auto runs threads, so the parallel arm "
-                "stays within noise of serial instead of paying "
-                "spawn/pickle overhead"
+                "mask, and for work too small to repay the process pool, "
+                "the parallel arm runs in-process, so it stays within "
+                "noise of serial instead of paying spawn/pickle overhead"
             ),
         }
         _update_results(f"build_dataset_{method}", payload)
@@ -177,7 +178,7 @@ class TestBuildDataset:
 class TestExtractionBatched:
     """One kernel pass per corpus vs one per run — same bytes, less tax.
 
-    The per-run arm is the historical `_ChunkFeaturizer` body: every run
+    The per-run arm is the historical per-run extraction loop: every run
     pays the full fixed overhead of hundreds of numpy/scipy dispatches.
     The batched arm hstacks each run-length group into a ``(T, B*M)``
     panel and preprocesses + extracts once per group. The win is pure

@@ -10,8 +10,10 @@ Measures the three claims of the binned-core work and records them in
   together with the *effective* CPU count (the affinity mask, not the
   machine) because scaling is only meaningful with the cores to back it;
   whatever the mask, every parallel arm must stay within 5% of serial
-  (``backend="auto"`` runs threads on a one-core mask and shared-memory
-  processes otherwise, so ``n_jobs`` is never a slowdown);
+  (``repro.parallel.map_blocks`` runs a fit in-process on a one-core
+  mask or when a fan-out would save less than the pool's round trip,
+  and over shared-memory processes otherwise, so ``n_jobs`` is never a
+  slowdown);
 * active-learning refits: 50 query rounds end-to-end, exact (no cache)
   vs hist with the cross-refit bin cache, plus a cache-run repeat to pin
   the seeded query sequence;
@@ -176,8 +178,9 @@ class TestForestFit:
             },
             "note": (
                 "worker scaling is bounded by the affinity mask; on a "
-                "one-core mask backend=auto runs threads, so parallel "
-                "arms stay within noise of serial"
+                "one-core mask, and for fits too small to repay the "
+                "process pool, parallel arms run in-process, so they "
+                "stay within noise of serial"
             ),
         }
         _update_results("worker_scaling", payload)

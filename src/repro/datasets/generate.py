@@ -20,15 +20,16 @@ Two execution modes:
   master seed plus the run's grid coordinates (the same trick as the
   forest's per-tree streams). Because no run reads another run's stream,
   the corpus is bit-identical at any worker count — ``n_jobs=1`` and
-  ``n_jobs=8`` produce the same bytes — and the grid fans out over
-  :class:`repro.parallel.Executor` with workers returning packed
-  :class:`~repro.telemetry.corpus.RunCorpus` chunks (one contiguous
-  buffer each, no per-record pickling). See ``docs/data_plane.md``.
+  ``n_jobs=8`` produce the same bytes — and the grid goes through
+  :func:`repro.parallel.map_blocks` in blocks that each come back as a
+  packed :class:`~repro.telemetry.corpus.RunCorpus` (one contiguous
+  buffer, no per-record pickling). See ``docs/data_plane.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -37,7 +38,7 @@ from ..anomalies import get_anomaly
 from ..apps.base import AppSignature
 from ..features.pipeline import FeatureDataset, FeatureExtractor
 from ..mlcore.base import check_random_state
-from ..parallel import block_partition, shared_executor
+from ..parallel import map_blocks
 from ..telemetry.catalog import MetricCatalog
 from ..telemetry.collector import Collector, RunRecord
 from ..telemetry.corpus import RunCorpus
@@ -155,26 +156,14 @@ def _master_entropy(rng: int | np.random.Generator | None) -> int:
     return int(rng)
 
 
-class _SpecCollector:
-    """Worker body: collect grid chunks into packed corpora.
+def _collect_runs(
+    config: SystemConfig, master: int, specs: list[_RunSpec]
+) -> RunCorpus:
+    """Worker body: collect one block of the grid into a packed corpus.
 
-    Holds the campaign config and master seed so the executor's function
-    cache ships them **once per pool**; each task is just a spec list.
-    Every run still derives its RNG purely from ``(master, stream_key)``,
-    so results are independent of chunking and worker count.
+    Every run derives its RNG purely from ``(master, stream_key)``, so
+    the result is independent of blocking and worker count.
     """
-
-    def __init__(self, config: SystemConfig, master: int):
-        self.config = config
-        self.master = master
-
-    def __call__(self, specs: list[_RunSpec]) -> RunCorpus:
-        return _collect_chunk((self.config, self.master, specs))
-
-
-def _collect_chunk(payload: tuple[SystemConfig, int, list[_RunSpec]]) -> RunCorpus:
-    """Worker body: collect one grid chunk into a packed corpus."""
-    config, master, specs = payload
     collector = Collector(config.catalog, config.node, config.missing_rate)
     runs: list[RunRecord] = []
     for spec in specs:
@@ -202,32 +191,18 @@ def generate_corpus(
     config: SystemConfig,
     rng: int | np.random.Generator | None = None,
     n_jobs: int = 1,
-    backend: str = "auto",
 ) -> RunCorpus:
     """Execute the campaign with per-run seed streams, packed.
 
-    The output is bit-identical for every ``n_jobs`` and either backend;
-    pass the same seed to get the same corpus whether it was built by
-    one process or eight. Fan-out rides the process-wide warm pool
-    (:func:`repro.parallel.shared_executor`), so the featurize and fit
-    stages that follow reuse the same workers.
+    The output is bit-identical for every ``n_jobs``; pass the same seed
+    to get the same corpus whether it was built by one process or eight.
+    Fan-out rides :func:`repro.parallel.map_blocks` and its process-wide
+    warm pool, so the featurize and fit stages that follow reuse the
+    same workers.
     """
     master = _master_entropy(rng)
     specs = _campaign_grid(config)
-    n_jobs = max(1, int(n_jobs))
-    if n_jobs == 1 or len(specs) == 1:
-        return _collect_chunk((config, master, specs))
-    executor = shared_executor(n_jobs, backend=backend)
-    if executor.n_workers <= 1:
-        # backend="auto" on a one-core mask degrades to serial: skip the
-        # chunk/concat round-trip, the bytes are identical either way
-        return _collect_chunk((config, master, specs))
-    chunks = [
-        [specs[i] for i in idx]
-        for idx in block_partition(len(specs), min(len(specs), n_jobs * 4))
-        if len(idx)
-    ]
-    parts = executor.map(_SpecCollector(config, master), chunks)
+    parts = map_blocks(partial(_collect_runs, config, master), specs, n_jobs=n_jobs)
     return RunCorpus.concat(parts)
 
 
@@ -291,7 +266,6 @@ def build_dataset(
     method: str = "mvts",
     rng: int | np.random.Generator | None = None,
     n_jobs: int | None = None,
-    backend: str = "auto",
 ) -> tuple[FeatureDataset, FeatureExtractor]:
     """Run the campaign and featurize it in one call.
 
@@ -305,8 +279,6 @@ def build_dataset(
         runs = generate_runs(config, rng)
         extractor = FeatureExtractor(config.catalog, method=method)
         return extractor.fit_transform(runs), extractor
-    corpus = generate_corpus(config, rng, n_jobs=n_jobs, backend=backend)
-    extractor = FeatureExtractor(
-        config.catalog, method=method, n_jobs=n_jobs, backend=backend
-    )
+    corpus = generate_corpus(config, rng, n_jobs=n_jobs)
+    extractor = FeatureExtractor(config.catalog, method=method, n_jobs=n_jobs)
     return extractor.fit_transform(corpus), extractor

@@ -19,7 +19,7 @@ from ..active.baselines import EqualAppSelector, ProctorModel, RandomSelector
 from ..active.loop import ALResult, queries_to_reach, run_active_learning
 from ..datasets.splits import PreparedSplit
 from ..mlcore.forest import RandomForestClassifier
-from ..parallel.executor import Executor
+from ..parallel import map_blocks
 
 __all__ = [
     "CurveStats",
@@ -138,7 +138,7 @@ def _make_strategy(method: str, prep: PreparedSplit) -> Any:
 
 
 def _run_single(job: tuple) -> tuple[str, int, ALResult]:
-    """One (method, split) cell — module-level for process-pool pickling."""
+    """One (method, split) cell."""
     (method, split_id, prep, n_queries, model_params, proctor_params, seed) = job
     if method == "proctor":
         model: Any = ProctorModel(random_state=seed, **proctor_params)
@@ -165,6 +165,11 @@ def _run_single(job: tuple) -> tuple[str, int, ALResult]:
     return method, split_id, replace(result, model=None)
 
 
+def _run_jobs(jobs: list[tuple]) -> list[tuple[str, int, ALResult]]:
+    """A block of (method, split) cells: the worker body of :func:`run_methods`."""
+    return [_run_single(job) for job in jobs]
+
+
 def run_methods(
     preps: Sequence[PreparedSplit],
     methods: Sequence[str] = ALL_METHODS,
@@ -188,7 +193,8 @@ def run_methods(
     proctor_params:
         Overrides for the Proctor baseline (code size, epochs, …).
     n_workers:
-        Process fan-out over the (method × split) grid; 1 = serial.
+        Workers for the (method × split) grid (see
+        :func:`repro.parallel.map_blocks`); 1 = serial.
     """
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
@@ -213,9 +219,9 @@ def run_methods(
         for method in methods
         for split_id, prep in enumerate(preps)
     ]
-    outputs = Executor(n_workers=n_workers, chunks_per_worker=1).map(
-        _run_single, jobs
-    )
+    outputs = [
+        out for part in map_blocks(_run_jobs, jobs, n_jobs=n_workers) for out in part
+    ]
     result = ExperimentResult(runs={m: [] for m in methods})
     for method, split_id, run in sorted(
         outputs, key=lambda t: (t[0], t[1])

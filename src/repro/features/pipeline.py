@@ -34,11 +34,12 @@ then indexing; the default plan is every kept feature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..parallel import SharedArrayHandle, block_partition, shared_executor
+from ..parallel import map_blocks
 from ..telemetry.catalog import MetricCatalog
 from ..telemetry.collector import RunRecord
 from ..telemetry.corpus import (
@@ -237,58 +238,26 @@ class ColumnPlan:
     positions: np.ndarray
 
 
-class _ChunkFeaturizer:
-    """Picklable worker body: featurize every run of a corpus chunk.
+def _featurize_runs(
+    counter_mask: np.ndarray,
+    trim_frac: tuple[float, float],
+    method: str,
+    max_panel_elems: int,
+    runs: range,
+    buffer: np.ndarray,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """Feature rows of runs ``runs`` of a packed corpus, run-batched.
 
-    A chunk arrives as a :class:`RunCorpus` view (one contiguous buffer);
-    under the thread backend the view *is* the parent's memory, so
-    nothing is copied at all. Runs inside the chunk are featurized
-    run-batched (:func:`batched_feature_rows`), which is bit-identical to
-    the historical per-run loop at any chunking.
+    The worker body of :meth:`FeatureExtractor._featurize_corpus`, in-process
+    or in a pool worker alike: :func:`batched_feature_rows` takes the
+    block's absolute offsets into the whole buffer, and its output is
+    bit-identical at any blocking.
     """
-
-    def __init__(self, counter_mask: np.ndarray, trim_frac: tuple[float, float],
-                 method: str,
-                 max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS):
-        self.counter_mask = counter_mask
-        self.trim_frac = trim_frac
-        self.method = method
-        self.max_panel_elems = max_panel_elems
-
-    def __call__(self, chunk: RunCorpus) -> np.ndarray:
-        return batched_feature_rows(
-            chunk.buffer, chunk.offsets, self.counter_mask, self.trim_frac,
-            self.method, self.max_panel_elems,
-        )
-
-
-class _ShmChunkFeaturizer:
-    """Worker body bound to a corpus buffer living in shared memory.
-
-    The whole object is shipped **once per pool** (the executor's
-    function cache); each work item is only a chunk's absolute row-offset
-    array into the shared buffer — a few hundred bytes — so scaling the
-    corpus never scales the task pickles. Workers attach to the segment,
-    featurize their chunk run-batched as views into it
-    (:func:`batched_feature_rows` takes the absolute offsets directly),
-    and detach; the parent owns (and unlinks) the segment.
-    """
-
-    def __init__(self, handle: SharedArrayHandle, counter_mask: np.ndarray,
-                 trim_frac: tuple[float, float], method: str,
-                 max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS):
-        self.handle = handle
-        self.counter_mask = counter_mask
-        self.trim_frac = trim_frac
-        self.method = method
-        self.max_panel_elems = max_panel_elems
-
-    def __call__(self, offsets: np.ndarray) -> np.ndarray:
-        with self.handle.open() as att:
-            return batched_feature_rows(
-                att.array, offsets, self.counter_mask, self.trim_frac,
-                self.method, self.max_panel_elems,
-            )
+    return batched_feature_rows(
+        buffer, offsets[runs.start:runs.stop + 1], counter_mask, trim_frac,
+        method, max_panel_elems,
+    )
 
 
 class FeatureExtractor:
@@ -311,14 +280,12 @@ class FeatureExtractor:
     caller that needs a few selected features (``ALBADross.featurize``)
     never pays for the others.
 
-    With ``n_jobs > 1`` the corpus is split into contiguous chunks (many
-    runs per task, each chunk batching internally) that fan out over the
-    process-wide warm pool (:func:`repro.parallel.shared_executor`) —
-    results are bit-identical to serial extraction at any worker count
-    and either backend. Under the process backend the corpus buffer
-    crosses into workers through one :class:`repro.parallel.SharedArray`
-    segment (workers attach, nothing is pickled but row offsets); the
-    thread backend shares the parent's memory outright.
+    With ``n_jobs > 1`` the corpus goes through
+    :func:`repro.parallel.map_blocks` as blocks of contiguous runs, each
+    block batching internally. That layer runs the blocks in-process or
+    fans them out over the warm process pool, with the corpus buffer in
+    shared memory and only run ranges in the tasks; results are
+    bit-identical to serial extraction either way.
 
     Parameters
     ----------
@@ -330,13 +297,8 @@ class FeatureExtractor:
     trim_frac:
         Head/tail trim fractions passed to :func:`preprocess_run`.
     n_jobs:
-        Workers for chunk-wise extraction; ``None`` or 1 keeps
+        Workers for block-wise extraction; ``None`` or 1 keeps
         extraction serial and in-process.
-    backend:
-        ``"auto"`` (default), ``"thread"``, or ``"process"`` — see
-        :func:`repro.parallel.resolve_backend`. The extraction kernels
-        (interpolation, entropy, bincounts) release the GIL, so the
-        thread backend parallelizes them with near-zero overhead.
     max_panel_elems:
         Cap on ``T * B * M`` elements per batched-extraction panel
         (:func:`~repro.telemetry.corpus.plan_length_groups`); bounds peak
@@ -349,7 +311,6 @@ class FeatureExtractor:
         method: str = "mvts",
         trim_frac: tuple[float, float] = (0.08, 0.06),
         n_jobs: int | None = None,
-        backend: str = "auto",
         max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS,
     ):
         if method not in _EXTRACTORS:
@@ -360,7 +321,6 @@ class FeatureExtractor:
         self.method = method
         self.trim_frac = trim_frac
         self.n_jobs = n_jobs
-        self.backend = backend
         self.max_panel_elems = max_panel_elems
         self._all_names = [
             f"{m}::{f}" for m in catalog.names for f in _EXTRACTORS[method][1]
@@ -370,53 +330,25 @@ class FeatureExtractor:
     def __setstate__(self, state: dict) -> None:
         # extractors pickled before the parallel data plane lack its knobs
         state.setdefault("n_jobs", None)
-        state.setdefault("backend", "auto")
         state.setdefault("max_panel_elems", DEFAULT_MAX_PANEL_ELEMS)
-        state.pop("_executor", None)  # pre-shm extractors owned a pool
-        # extractors pickled with the removed per-run hook carry its keys
-        state.pop("map_fn", None)
-        state.pop("_extract", None)
+        # extractors pickled with removed options carry their keys: a
+        # private pool, the per-run hook and the transport choice
+        for key in ("_executor", "map_fn", "_extract", "backend"):
+            state.pop(key, None)
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def _featurize_corpus(
         self, corpus: RunCorpus, counter_mask: np.ndarray
     ) -> np.ndarray:
-        n_jobs = self.n_jobs or 1
-        if n_jobs <= 1 or len(corpus) == 1:
-            return _ChunkFeaturizer(
-                counter_mask, self.trim_frac, self.method, self.max_panel_elems,
-            )(corpus)
-        executor = shared_executor(n_jobs, backend=self.backend)
-        if executor.n_workers <= 1:
-            # backend="auto" on a one-core mask degrades to serial: skip
-            # the chunk/vstack round-trip, the bytes are identical anyway
-            return _ChunkFeaturizer(
-                counter_mask, self.trim_frac, self.method, self.max_panel_elems,
-            )(corpus)
-        parts = [
-            idx
-            for idx in block_partition(len(corpus), min(len(corpus), n_jobs * 4))
-            if len(idx)
-        ]
-        if executor.backend == "process":
-            # one segment for the whole campaign buffer; tasks carry only
-            # their chunk's row offsets, workers attach instead of copying
-            with corpus.share() as shared:
-                worker = _ShmChunkFeaturizer(
-                    shared.handle, counter_mask,
-                    self.trim_frac, self.method, self.max_panel_elems,
-                )
-                items = [
-                    np.asarray(corpus.offsets[int(idx[0]):int(idx[-1]) + 2])
-                    for idx in parts
-                ]
-                return np.vstack(executor.map(worker, items))
-        worker = _ChunkFeaturizer(
-            counter_mask, self.trim_frac, self.method, self.max_panel_elems,
+        worker = partial(
+            _featurize_runs, counter_mask, self.trim_frac, self.method,
+            self.max_panel_elems,
         )
-        chunks = [corpus.chunk(int(idx[0]), int(idx[-1]) + 1) for idx in parts]
-        return np.vstack(executor.map(worker, chunks))
+        parts = map_blocks(
+            worker, range(len(corpus)), (corpus.buffer, corpus.offsets), self.n_jobs
+        )
+        return parts[0] if len(parts) == 1 else np.vstack(parts)
 
     def _featurize_all(
         self,
@@ -425,8 +357,8 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """Raw feature rows of ``runs`` over metric ``columns`` (all if None)."""
         # pack record lists up front: serving micro-batches and serial
-        # callers get the run-batched kernel pass too, and parallel chunks
-        # ship as flat buffers (raises on empty or mixed-catalog lists)
+        # callers get the run-batched kernel pass too, and parallel blocks
+        # share one flat buffer (raises on empty or mixed-catalog lists)
         corpus = runs if isinstance(runs, RunCorpus) else RunCorpus.from_records(list(runs))
         if corpus.metric_names and corpus.metric_names != self.catalog.names:
             raise ValueError(

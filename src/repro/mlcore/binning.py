@@ -98,8 +98,7 @@ class _CodeBuffer:
         """Feature-major view of the first ``n`` rows, built lazily.
 
         The returned view is memoized per requested length, so repeated
-        reads of an unchanged dataset hand back the identical object
-        (callers key shared-memory exports and caches on identity).
+        reads of an unchanged dataset hand back the identical object.
         """
         if self._rows_T is None:
             self._rows_T = np.empty(
@@ -320,20 +319,6 @@ class BinnedDataset:
     @property
     def bin_edges_(self) -> list[np.ndarray]:
         return self.binner.bin_edges_
-
-    def share(self):
-        """Copy codes and the feature-major transpose into shared memory.
-
-        Returns a ``(codes_owner, codes_T_owner)`` pair of
-        :class:`~repro.parallel.shm.SharedArray` owners (close both —
-        ideally via ``with`` — to unlink). Workers attach through the
-        picklable handles, so a forest refit ships seed chunks instead
-        of re-pickling the code matrix per task. The transpose is built
-        (and cached) here, in the owner process, once for all workers.
-        """
-        from ..parallel.shm import SharedArray
-
-        return SharedArray(self.codes), SharedArray(self.codes_T)
 
     def take(self, idx: np.ndarray) -> "BinnedDataset":
         """Row subset (bootstrap resamples share edges, copy codes)."""

@@ -21,14 +21,11 @@ levers, all opt-in:
   sort, and bootstrap resamples are index views, never matrix copies.
 * :meth:`fit_binned` accepts a pre-binned :class:`BinnedDataset`, letting
   callers (the AL loop) pay the binning cost once across many refits.
-* ``n_jobs`` fans seed chunks across the process-wide warm pool
-  (:func:`repro.parallel.shared_executor`); each chunk grows its trees in
-  lockstep. Under the process backend the code matrices (bin codes, or
-  ranks plus their rank → value table) cross into workers through
-  shared-memory segments (:mod:`repro.parallel.shm`) and each task
-  carries only its seed chunk; the thread backend shares the parent's
-  arrays outright, which is the zero-overhead choice when the affinity
-  mask offers a single core.
+* ``n_jobs`` hands the tree seeds to :func:`repro.parallel.map_blocks`;
+  each block of seeds grows its trees in lockstep, in-process or in a
+  pool worker. When the fit fans out, the code matrices (bin codes, or
+  ranks plus their rank → value table) cross into the workers through
+  shared memory and each task carries only its seeds.
 
 Every tree derives its own RNG stream from a seed drawn up front from the
 root generator, and lockstep growth leaves each tree exactly as growing it
@@ -39,13 +36,12 @@ chunking and for either dispatch order.
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ..parallel.executor import shared_executor
-from ..parallel.shm import SharedArray, SharedArrayHandle
+from ..parallel import map_blocks
 from .base import (
     BaseEstimator,
     ClassifierMixin,
@@ -103,14 +99,22 @@ def _bootstrap_indices(
     return idx
 
 
-def _fit_tree_chunk(args: tuple) -> list[DecisionTreeClassifier]:
-    """Fit a batch of trees in lockstep; module-level so process pools can
-    pickle it.
+def _fit_tree_chunk(
+    tree_params: dict,
+    edges: list[np.ndarray] | None,
+    n_classes: int,
+    bootstrap: bool,
+    seeds: np.ndarray,
+    codes_mat: np.ndarray,
+    codes_T: np.ndarray | None,
+    values: np.ndarray | None,
+    y: np.ndarray,
+) -> list[DecisionTreeClassifier]:
+    """Fit one tree per seed, in lockstep; the worker body of every fit.
 
     Each tree consumes only its own seed, so the result is independent of
-    how seeds are grouped into chunks or which worker runs them.
+    how seeds are grouped into blocks or which worker runs them.
     """
-    tree_params, codes_mat, edges, values, y, n_classes, bootstrap, seeds, codes_T = args
     n = len(y)
     trees, samples = [], []
     for seed in seeds:
@@ -121,59 +125,6 @@ def _fit_tree_chunk(args: tuple) -> list[DecisionTreeClassifier]:
         trees, codes_mat, y, samples, edges=edges, values=values, codes_T=codes_T
     )
     return trees
-
-
-class _ShmTreeFitter:
-    """Worker body with its training matrices parked in shared memory.
-
-    Shipped **once per pool** via the executor's function cache; each
-    work item is a seed chunk (a handful of ints), so refitting a forest
-    never re-pickles the dataset. Workers attach to the segments — the
-    code matrix (bin codes or dense ranks), plus the feature-major codes
-    (hist) or the rank → value table (exact) — build the same args tuple
-    :func:`_fit_tree_chunk` consumes in-process, and detach before
-    returning their trees.
-    """
-
-    def __init__(
-        self,
-        tree_params: dict,
-        edges: list[np.ndarray] | None,
-        y: np.ndarray,
-        n_classes: int,
-        bootstrap: bool,
-        codes_handle: SharedArrayHandle,
-        codes_T_handle: SharedArrayHandle | None,
-        values_handle: SharedArrayHandle | None,
-    ):
-        self.tree_params = tree_params
-        self.edges = edges
-        self.y = y
-        self.n_classes = n_classes
-        self.bootstrap = bootstrap
-        self.codes_handle = codes_handle
-        self.codes_T_handle = codes_T_handle
-        self.values_handle = values_handle
-
-    def __call__(self, seeds: np.ndarray) -> list[DecisionTreeClassifier]:
-        attachments = []
-        try:
-            arrays = []
-            for handle in (self.codes_handle, self.codes_T_handle, self.values_handle):
-                if handle is None:
-                    arrays.append(None)
-                    continue
-                att = handle.open()
-                attachments.append(att)
-                arrays.append(att.array)
-            codes_mat, codes_T, values = arrays
-            return _fit_tree_chunk(
-                (self.tree_params, codes_mat, self.edges, values, self.y,
-                 self.n_classes, self.bootstrap, seeds, codes_T)
-            )
-        finally:
-            for att in attachments:
-                att.close()
 
 
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):
@@ -199,10 +150,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     n_jobs:
         Workers for tree fitting; ``1`` fits serially in-process.
         Seeded results are identical for every setting.
-    backend:
-        ``"auto"`` (default), ``"thread"``, or ``"process"`` — see
-        :func:`repro.parallel.resolve_backend`. Fits are bit-identical
-        across backends; only the transport differs.
     """
 
     def __init__(
@@ -217,7 +164,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         splitter: str = "exact",
         max_bins: int = DEFAULT_FOREST_BINS,
         n_jobs: int | None = 1,
-        backend: str = "auto",
         random_state: int | np.random.Generator | None = None,
     ):
         self.n_estimators = n_estimators
@@ -230,8 +176,11 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         self.splitter = splitter
         self.max_bins = max_bins
         self.n_jobs = n_jobs
-        self.backend = backend
         self.random_state = random_state
+
+    def __setstate__(self, state: dict) -> None:
+        state.pop("backend", None)  # forests pickled with the removed transport option
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ fit
 
@@ -370,14 +319,10 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         for t in keep:
             touched.append((int(t), self.estimators_[t].absorb_labeled(X_new, y_new)))
         binned = self.binned_dataset_
-        new_trees = [
-            tree
-            for chunk in self._dispatch_tree_fits(
-                self._tree_seeds_[replaced], binned.codes,
-                binned.bin_edges_, None, y_all, binned.codes_T,
-            )
-            for tree in chunk
-        ]
+        new_trees = self._grow_trees(
+            self._tree_seeds_[replaced], binned.codes,
+            binned.bin_edges_, None, y_all, binned.codes_T,
+        )
         for pos, tree in zip(replaced, new_trees):
             self.estimators_[pos] = tree
         self._finish_fit()
@@ -406,12 +351,11 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         seeds = rng.integers(0, 2**63, size=self.n_estimators)
         self._tree_seeds_ = seeds
         self._refit_round_ = 0
-        results = self._dispatch_tree_fits(seeds, codes_mat, edges, values, y, codes_T)
-        self.estimators_ = [tree for chunk in results for tree in chunk]
+        self.estimators_ = self._grow_trees(seeds, codes_mat, edges, values, y, codes_T)
         self._finish_fit()
         return self
 
-    def _dispatch_tree_fits(
+    def _grow_trees(
         self,
         seeds: np.ndarray,
         codes_mat: np.ndarray,
@@ -419,14 +363,14 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         values: np.ndarray | None,
         y: np.ndarray,
         codes_T: np.ndarray | None,
-    ) -> list[list[DecisionTreeClassifier]]:
-        """Grow one tree per seed, fanned out per ``n_jobs``/``backend``.
+    ) -> list[DecisionTreeClassifier]:
+        """Grow one tree per seed, fanned out per ``n_jobs``.
 
         ``codes_mat`` holds bin codes with their ``edges`` (hist) or dense
         ranks with their rank → value table ``values`` (exact). Shared by
         the initial fit and warm refits (which pass only the replaced
         subset of the stored seed vector): each tree depends only on its
-        own seed and the data, so results are independent of chunking,
+        own seed and the data, so results are independent of blocking,
         worker count, and which call site requested the growth.
         """
         tree_params = dict(
@@ -438,65 +382,11 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             splitter=self.splitter,
             max_bins=self.max_bins,
         )
-        n_jobs = 1 if self.n_jobs is None else max(1, self.n_jobs)
-        n_chunks = min(n_jobs, len(seeds))
-        seed_chunks = [
-            chunk for chunk in np.array_split(seeds, n_chunks) if len(chunk)
-        ]
-        n_classes = len(self.classes_)
-        executor = shared_executor(n_jobs, backend=self.backend) if n_jobs > 1 else None
-        if executor is not None and executor.n_workers > 1 and executor.backend != "thread":
-            return self._fit_chunks_shm(
-                executor, tree_params, codes_mat, edges, values, y,
-                n_classes, seed_chunks,
-            )
-        jobs = [
-            (tree_params, codes_mat, edges, values, y, n_classes,
-             self.bootstrap, chunk, codes_T)
-            for chunk in seed_chunks
-        ]
-        if executor is None or executor.n_workers <= 1:
-            # serial, or backend="auto" on a one-core mask: fit
-            # in-process, the per-tree seed streams are identical
-            return [_fit_tree_chunk(job) for job in jobs]
-        # threads share the parent's arrays outright — including the
-        # cached feature-major transpose
-        return executor.map(_fit_tree_chunk, jobs)
-
-    def _fit_chunks_shm(
-        self,
-        executor,
-        tree_params: dict,
-        codes_mat: np.ndarray,
-        edges: list[np.ndarray] | None,
-        values: np.ndarray | None,
-        y: np.ndarray,
-        n_classes: int,
-        seed_chunks: list[np.ndarray],
-    ) -> list[list[DecisionTreeClassifier]]:
-        """Fan seed chunks over process workers, matrices in shared memory.
-
-        The fitter object (tree params, edges, labels, segment handles)
-        ships once per pool; every task is a seed chunk. Segments are
-        unlinked on exit — including when a worker raises — because this
-        process owns them and the ``ExitStack`` closes them.
-        """
-        with ExitStack() as stack:
-            codes_T_handle = values_handle = None
-            if values is None:
-                # hist path: always reached via fit_binned, which stashed
-                # the dataset; share codes + the cached transpose once
-                sh_codes, sh_codes_T = self.binned_dataset_.share()
-                codes_handle = stack.enter_context(sh_codes).handle
-                codes_T_handle = stack.enter_context(sh_codes_T).handle
-            else:
-                codes_handle = stack.enter_context(SharedArray(codes_mat)).handle
-                values_handle = stack.enter_context(SharedArray(values)).handle
-            fitter = _ShmTreeFitter(
-                tree_params, edges, y, n_classes, self.bootstrap,
-                codes_handle, codes_T_handle, values_handle,
-            )
-            return executor.map(fitter, seed_chunks)
+        worker = partial(
+            _fit_tree_chunk, tree_params, edges, len(self.classes_), self.bootstrap
+        )
+        parts = map_blocks(worker, seeds, (codes_mat, codes_T, values, y), self.n_jobs)
+        return [tree for part in parts for tree in part]
 
     def _finish_fit(self) -> None:
         # map tree-local class columns into the forest-wide class list

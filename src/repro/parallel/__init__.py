@@ -1,14 +1,14 @@
-"""repro.parallel — HPC-parallel utilities (pools, partitioners, shared memory)."""
+"""repro.parallel — the one way work crosses into workers (pool, shared memory)."""
 
 from .executor import (
     Executor,
     close_shared_executors,
     default_workers,
     effective_cpu_count,
-    resolve_backend,
+    map_blocks,
     shared_executor,
 )
-from .partition import block_partition, chunk_sizes, cyclic_partition
+from .partition import block_partition, chunk_sizes
 from .shm import (
     SHM_PREFIX,
     AttachedArray,
@@ -27,9 +27,8 @@ __all__ = [
     "block_partition",
     "chunk_sizes",
     "close_shared_executors",
-    "cyclic_partition",
     "default_workers",
     "effective_cpu_count",
-    "resolve_backend",
+    "map_blocks",
     "shared_executor",
 ]

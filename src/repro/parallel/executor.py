@@ -1,38 +1,36 @@
-"""Chunked parallel map over warm thread/process pools.
+"""Order-preserving parallel map: in-process, or over a warm process pool.
 
-The guides' advice for Python HPC: vectorize inside a process, fan
-embarrassingly parallel work across workers. This executor wraps
-``concurrent.futures`` pools with block chunking (amortizes per-task
-overhead over many small tasks — per-run feature extraction is
-milliseconds, far below the cost of a bare task submission) and falls
-back to serial execution transparently when ``n_workers <= 1``, which
-keeps tests and seeded experiments deterministic by default.
+:func:`map_blocks` is the one way work crosses into workers. A caller
+writes one worker function ``fn(block, *arrays)`` that handles a
+contiguous block of its items given a tuple of read-only arrays, and it
+runs the same way in-process and in a worker. When the work fans out,
+the arrays cross into the workers through :mod:`repro.parallel.shm`
+segments that this module creates, hands out and unlinks; tasks carry
+only a block of items and the segment handles.
 
-Two backends, selected per call site:
+Where the work runs is decided here, from what this module can observe:
 
-* ``"process"`` — a ``ProcessPoolExecutor``. True multi-core scaling for
-  Python-bound work, at the cost of crossing a pickle boundary. The map
-  function is pickled **once per map call** (not once per chunk, the old
-  behaviour) and cached inside each worker by digest, so a bound method
-  dragging a whole extractor or dataset through pickle is paid once; big
-  array payloads should ride :mod:`repro.parallel.shm` instead of the
-  task pickle.
-* ``"thread"`` — a ``ThreadPoolExecutor``. No pickling, no copies, no
-  spawn cost; the right tool for the repo's GIL-releasing numpy kernels
-  (histogram bincounts, blocked entropy, interpolation) and for boxes
-  whose CPU affinity mask leaves nothing to scale across.
-* ``"auto"`` — ``"process"`` when the affinity mask offers more than one
-  core, else ``"thread"`` with the worker count clamped to the mask:
-  workers that cannot run concurrently should pay neither the pickle tax
-  nor the GIL tax, so on a one-core mask ``n_jobs=8`` degrades cleanly
-  to the serial path (same bits, zero fan-out overhead).
+* ``n_jobs``: ``None`` or ``<= 1`` calls ``fn`` once in-process, with no
+  pool lookup, no timing and no segment;
+* the affinity mask: workers are clamped to the CPUs this process may
+  run on (:func:`effective_cpu_count`), so a one-CPU mask runs
+  in-process;
+* the size of the work: the seconds per item of the same worker
+  function on data of the same width, timed by this module on the
+  previous such call, or, on the first one, by running the first of
+  ``4 W`` blocks in-process (a first call with fewer items runs whole,
+  timed). The rest fans out only when ``W`` workers would save more
+  than the pool's round trip (``_ROUND_TRIP_S``); smaller work runs
+  in-process.
 
-Pools are started lazily on the first parallel ``map`` and *reused* by
-every later call: the active-learning loop refits a forest after every
-query, so paying worker spawn/teardown per ``map`` dominated small
-refits. :func:`shared_executor` goes one step further and keeps one warm
-pool per ``(backend, n_workers)`` for the whole process, so a campaign's
-generate → featurize → fit stages all reuse the same workers.
+Which way a call went never changes its result: every caller's blocks
+are independent, so outputs are bit-identical at any ``n_jobs``.
+
+The pool itself is :class:`Executor`: a chunked, order-preserving map
+over a lazily started ``ProcessPoolExecutor`` that is *reused* by every
+later call. :func:`shared_executor` keeps one warm pool per worker count
+for the whole process, so a campaign's generate → featurize → fit stages
+and every active-learning refit reuse the same workers.
 
 ``map`` and ``close`` serialize on an internal lock: closing an executor
 from another thread (or a ``__del__`` racing a map) waits for the
@@ -46,24 +44,48 @@ import hashlib
 import os
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
+from functools import partial
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .partition import block_partition
+import numpy as np
+
+from .partition import block_partition, chunk_sizes
+from .shm import SharedArray, SharedArrayHandle
 
 __all__ = [
     "Executor",
     "close_shared_executors",
     "default_workers",
     "effective_cpu_count",
-    "resolve_backend",
+    "map_blocks",
     "shared_executor",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-_BACKENDS = ("process", "thread")
+# Blocks per worker when work fans out: several per worker balance
+# uneven blocks, and the first one is the timing probe on a first call.
+_BLOCKS_PER_WORKER = 4
+
+# What a fan-out costs beyond the work itself: waking the warm pool,
+# copying the arrays into segments, shipping the worker function and
+# bringing results back. On a 2-vCPU host a fan-out over 2 warm workers
+# took 15-35 ms longer than half the in-process time of the same smoke
+# work (a 32-run campaign's generation and extraction, a 4-tree forest
+# fit); about three times that keeps work whose saving is within noise
+# of the round trip in-process.
+_ROUND_TRIP_S = 0.1
+
+# Seconds per item of each worker function, keyed by the function and
+# the width of its data (see _cost_key); written after every timed call.
+# Process-wide like the pools: the objects that request work do not
+# outlive it (the active-learning loop clones a fresh forest per refit).
+# A stale entry only ever moves where work runs, never its result.
+_SECONDS_PER_ITEM: dict[tuple, float] = {}
 
 
 def effective_cpu_count() -> int:
@@ -89,27 +111,12 @@ def default_workers() -> int:
     return max(1, effective_cpu_count() - 1)
 
 
-def resolve_backend(backend: str) -> str:
-    """Resolve ``"auto"`` to a concrete backend for this machine."""
-    if backend == "auto":
-        return "process" if effective_cpu_count() > 1 else "thread"
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"backend must be one of {_BACKENDS + ('auto',)}, got {backend!r}"
-        )
-    return backend
-
-
-def _run_chunk(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------------------
-# worker-side function cache (process backend)
+# worker-side function cache
 #
-# ``pool.map(_run_chunk, [fn] * n_chunks, chunks)`` pickles ``fn`` once per
-# chunk; when fn is a bound method it drags its whole object graph through
-# pickle every time. Instead the parent pickles fn once per map call and
+# Mapping ``fn`` over chunks with a plain ``pool.map`` pickles it once per
+# chunk; when fn carries an object graph it drags it through pickle every
+# time. Instead the parent pickles fn once per map call and
 # workers unpickle it once each, keyed by digest. The pool initializer
 # pre-seeds the first function so the warm-pool steady state (same fn every
 # refit) ships the function exactly once per pool.
@@ -132,7 +139,7 @@ def _run_cached_chunk(
 
 
 class Executor:
-    """Chunked, order-preserving parallel map over a reusable pool.
+    """Chunked, order-preserving parallel map over a reusable process pool.
 
     Parameters
     ----------
@@ -142,39 +149,19 @@ class Executor:
     chunks_per_worker:
         Number of chunks each worker receives; >1 improves load balance
         when per-item cost varies.
-    backend:
-        ``"process"`` (default), ``"thread"``, or ``"auto"`` — resolved
-        once at construction via :func:`resolve_backend`.
     """
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        chunks_per_worker: int = 4,
-        backend: str = "process",
-    ):
+    def __init__(self, n_workers: int | None = None, chunks_per_worker: int = 4):
         if chunks_per_worker < 1:
             raise ValueError(f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
         self.n_workers = default_workers() if n_workers is None else max(1, n_workers)
         self.chunks_per_worker = chunks_per_worker
-        self.backend = resolve_backend(backend)
-        if backend == "auto" and self.backend == "thread":
-            # auto resolved to threads because the affinity mask offers a
-            # single core: CPU-bound chunks cannot overlap there, extra
-            # threads only thrash the GIL — run the serial path instead.
-            # An explicit backend="thread" keeps the requested count.
-            self.n_workers = min(self.n_workers, effective_cpu_count())
-        self._pool: ProcessPoolExecutor | ThreadPoolExecutor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._seeded_digest: bytes | None = None
         self._lock = threading.RLock()
 
-    def _ensure_pool(
-        self, digest: bytes | None = None, payload: bytes | None = None
-    ) -> ProcessPoolExecutor | ThreadPoolExecutor:
+    def _ensure_pool(self, digest: bytes, payload: bytes) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
-                return self._pool
             # start the resource tracker BEFORE forking workers: a worker
             # forked while no tracker exists spawns its own private one on
             # first SharedMemory attach, whose ledger nobody ever cleans —
@@ -182,27 +169,23 @@ class Executor:
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
-            if digest is not None:
-                # seed every worker with the first map function at spawn:
-                # later maps of the same fn send only its digest
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=_seed_fn_cache,
-                    initargs=(digest, payload),
-                )
-                self._seeded_digest = digest
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
+            # seed every worker with the first map function at spawn:
+            # later maps of the same fn send only its digest
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                initializer=_seed_fn_cache,
+                initargs=(digest, payload),
+            )
+            self._seeded_digest = digest
         return self._pool
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Apply ``fn`` to every item, preserving input order.
 
         ``fn`` and the items must be picklable when ``n_workers > 1``
-        and the backend is ``"process"`` (module-level functions or
-        picklable callables; no lambdas). The thread backend and the
-        serial path (``n_workers <= 1`` or a single item) carry no such
-        restriction and are byte-identical to a plain list comprehension.
+        (module-level functions or picklable callables; no lambdas). The
+        serial path (``n_workers <= 1`` or a single item) carries no such
+        restriction and is byte-identical to a plain list comprehension.
         """
         items = list(items)
         if not items:
@@ -216,28 +199,17 @@ class Executor:
             if len(idx)
         ]
         with self._lock:
-            if self.backend == "thread":
-                pool = self._ensure_pool()
-                chunk_results = list(
-                    pool.map(_run_chunk, [fn] * len(chunks), chunks)
-                )
+            payload = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
+            digest = hashlib.sha256(payload).digest()
+            pool = self._ensure_pool(digest, payload)
+            if digest == self._seeded_digest:
+                # every worker was born with this fn: ship digest only
+                payloads: list[bytes] = [b""] * len(chunks)
             else:
-                payload = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
-                digest = hashlib.sha256(payload).digest()
-                pool = self._ensure_pool(digest, payload)
-                if digest == self._seeded_digest:
-                    # every worker was born with this fn: ship digest only
-                    payloads: list[bytes] = [b""] * len(chunks)
-                else:
-                    payloads = [payload] * len(chunks)
-                chunk_results = list(
-                    pool.map(
-                        _run_cached_chunk,
-                        [digest] * len(chunks),
-                        payloads,
-                        chunks,
-                    )
-                )
+                payloads = [payload] * len(chunks)
+            chunk_results = list(
+                pool.map(_run_cached_chunk, [digest] * len(chunks), payloads, chunks)
+            )
         return [r for chunk in chunk_results for r in chunk]
 
     def __getstate__(self) -> dict:
@@ -251,8 +223,6 @@ class Executor:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        state.setdefault("backend", "process")
-        state.setdefault("_seeded_digest", None)
         self.__dict__.update(state)
         self._lock = threading.RLock()
 
@@ -290,35 +260,27 @@ class Executor:
 #
 # A campaign touches the executor from several layers (grid generation,
 # feature extraction, forest fitting). Giving each layer its own pool pays
-# spawn/teardown at every stage boundary; sharing one pool per
-# (backend, n_workers) keeps the workers — and their function caches — warm
-# across the whole generate → featurize → fit sequence.
+# spawn/teardown at every stage boundary; sharing one pool per worker
+# count keeps the workers — and their function caches — warm across the
+# whole generate → featurize → fit sequence.
 
 _SHARED_LOCK = threading.Lock()
-_SHARED: dict[tuple[str, int], Executor] = {}
+_SHARED: dict[int, Executor] = {}
 
 
-def shared_executor(
-    n_workers: int, backend: str = "auto", chunks_per_worker: int = 4
-) -> Executor:
-    """The process-wide warm executor for ``(backend, n_workers)``.
+def shared_executor(n_workers: int) -> Executor:
+    """The process-wide warm executor with ``n_workers`` workers.
 
     Callers must **not** close the returned executor (closing it is
     harmless — it restarts lazily — but throws the warmth away);
     :func:`close_shared_executors` runs at interpreter exit.
     """
-    key = (resolve_backend(backend), max(1, int(n_workers)))
+    n_workers = max(1, int(n_workers))
     with _SHARED_LOCK:
-        ex = _SHARED.get(key)
+        ex = _SHARED.get(n_workers)
         if ex is None:
-            # pass the caller's literal backend: "auto" resolving to
-            # threads also clamps workers to the one-core mask
-            ex = Executor(
-                n_workers=key[1],
-                chunks_per_worker=chunks_per_worker,
-                backend=backend,
-            )
-            _SHARED[key] = ex
+            ex = Executor(n_workers=n_workers, chunks_per_worker=_BLOCKS_PER_WORKER)
+            _SHARED[n_workers] = ex
         return ex
 
 
@@ -332,3 +294,101 @@ def close_shared_executors() -> None:
 
 
 atexit.register(close_shared_executors)
+
+
+# ---------------------------------------------------------------------------
+# the map every n_jobs caller goes through
+
+
+def _run_block(
+    fn: Callable, task: tuple[tuple[SharedArrayHandle | None, ...], Sequence]
+) -> tuple[object, float]:
+    """Worker body: attach the segments, run one block, time it, detach."""
+    handles, block = task
+    with ExitStack() as stack:
+        arrays = [
+            None if h is None else stack.enter_context(h.open()).array
+            for h in handles
+        ]
+        t0 = time.perf_counter()
+        out = fn(block, *arrays)
+        return out, time.perf_counter() - t0
+
+
+def _cost_key(fn: Callable, arrays: tuple) -> tuple:
+    """Work of one worker function on data of one width.
+
+    The width is the trailing shape of the first array (metric columns
+    of a corpus buffer, feature columns of a code matrix), so calls that
+    differ only in row count, as successive refits do, share a timing.
+    """
+    width = arrays[0].shape[1:] if arrays and arrays[0] is not None else ()
+    return getattr(fn, "func", fn), width
+
+
+def _timed(key: tuple, fn: Callable, block: Sequence, arrays: tuple) -> object:
+    t0 = time.perf_counter()
+    out = fn(block, *arrays)
+    _SECONDS_PER_ITEM[key] = (time.perf_counter() - t0) / len(block)
+    return out
+
+
+def map_blocks(
+    fn: Callable[..., R],
+    items: Sequence,
+    arrays: tuple[np.ndarray | None, ...] = (),
+    n_jobs: int | None = None,
+) -> list[R]:
+    """Run ``fn(block, *arrays)`` over contiguous blocks of ``items``.
+
+    Returns one result per block, in item order; the caller joins them
+    (``np.vstack``, list concatenation, ...). ``items`` is any sliceable
+    sequence (list, ``range``, ndarray) and each block is a slice of it.
+    ``arrays`` are read-only inputs every block needs (``None`` entries
+    pass through); workers see them as shared-memory views, so ``fn``
+    must not write to them or return views of them.
+
+    With ``n_jobs`` ``None`` or ``<= 1`` this is ``[fn(items, *arrays)]``
+    and nothing more. Otherwise the module decides between in-process
+    blocks and the warm process pool as described in the module
+    docstring; ``fn`` and the items must then be picklable.
+    """
+    if n_jobs is None or n_jobs <= 1:
+        return [fn(items, *arrays)]
+    n_items = len(items)
+    n_workers = min(n_jobs, effective_cpu_count(), n_items)
+    if n_workers <= 1:
+        return [fn(items, *arrays)]
+    key = _cost_key(fn, arrays)
+    n_blocks = n_workers * _BLOCKS_PER_WORKER
+    per_item = _SECONDS_PER_ITEM.get(key)
+    out: list = []
+    start = 0
+    if per_item is None and n_items >= n_blocks:
+        # first call: time the first block in-process. With fewer items
+        # the cost counts as zero and the call runs whole, since a split
+        # only slows work whose cost rides on batching (lockstep trees)
+        start = chunk_sizes(n_items, n_blocks)[0]
+        out.append(_timed(key, fn, items[:start], arrays))
+        per_item = _SECONDS_PER_ITEM[key]
+    rest = items[start:]
+    n_workers = min(n_workers, len(rest))
+    saving = (per_item or 0.0) * len(rest) * (1.0 - 1.0 / n_workers)
+    if n_workers <= 1 or saving <= _ROUND_TRIP_S:
+        out.append(_timed(key, fn, rest, arrays))
+        return out
+    blocks, lo = [], 0
+    for size in chunk_sizes(len(rest), n_workers * _BLOCKS_PER_WORKER):
+        if size:
+            blocks.append(rest[lo:lo + size])
+            lo += size
+    with ExitStack() as stack:
+        handles = tuple(
+            None if a is None else stack.enter_context(SharedArray(a)).handle
+            for a in arrays
+        )
+        timed = shared_executor(n_workers).map(
+            partial(_run_block, fn), [(handles, block) for block in blocks]
+        )
+    _SECONDS_PER_ITEM[key] = sum(t for _, t in timed) / len(rest)
+    return out + [block_out for block_out, _ in timed]

@@ -1,18 +1,16 @@
-"""Work-list partitioners (block / cyclic), the standard HPC decompositions.
+"""Balanced contiguous block partitions of a work list.
 
-Feature extraction over hundreds of runs and train-test-split replication
+Feature extraction over hundreds of runs and forest fits over many trees
 are embarrassingly parallel; these helpers split index ranges the way an
-MPI code would decompose a domain: contiguous *block* partitions (good
-cache behaviour, uneven tails) or round-robin *cyclic* partitions (good
-load balance when per-item cost varies, as it does for variable-length
-runs).
+MPI code would decompose a domain, into contiguous blocks balanced to
+within one item (good cache behaviour, and every block stays a slice).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["block_partition", "cyclic_partition", "chunk_sizes"]
+__all__ = ["block_partition", "chunk_sizes"]
 
 
 def chunk_sizes(n_items: int, n_parts: int) -> list[int]:
@@ -39,9 +37,3 @@ def block_partition(n_items: int, n_parts: int) -> list[np.ndarray]:
         start += size
     return out
 
-
-def cyclic_partition(n_items: int, n_parts: int) -> list[np.ndarray]:
-    """Round-robin index assignment: part ``p`` gets items ``p, p+P, p+2P, …``."""
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    return [np.arange(p, n_items, n_parts) for p in range(n_parts)]

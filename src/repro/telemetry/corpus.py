@@ -7,9 +7,9 @@ every dataclass, every per-record ``metric_names`` list, and every small
 *one* contiguous ``(sum_T, M)`` float64 buffer plus ragged row offsets and
 flat metadata arrays, so
 
-* a chunk handed to a worker is a handful of array slices (one buffer
-  memcpy each when crossing a process boundary, no per-record pickling),
-* featurization can walk runs as views into the shared buffer, and
+* work crosses into a worker process as one buffer in shared memory
+  plus a range of runs (no per-record pickling),
+* featurization can walk runs as views into the buffer, and
 * metadata columns (labels, apps, decks, …) are already the flat arrays
   :class:`~repro.features.pipeline.FeatureDataset` wants.
 
@@ -24,7 +24,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..parallel.shm import SharedArray
 from .collector import HEALTHY, RunRecord
 
 __all__ = ["RunCorpus", "plan_length_groups", "DEFAULT_MAX_PANEL_ELEMS"]
@@ -176,40 +175,6 @@ class RunCorpus:
     def to_records(self) -> list[RunRecord]:
         """The friendly representation (data arrays are buffer views)."""
         return [self.record(i) for i in range(len(self))]
-
-    # ------------------------------------------------------------------
-    def share(self) -> SharedArray:
-        """Copy the packed buffer into one shared-memory segment.
-
-        The returned :class:`~repro.parallel.shm.SharedArray` is the
-        parent-side owner (close it — ideally via ``with`` — to unlink);
-        workers attach through its picklable ``handle`` and index runs
-        with this corpus's ``offsets``, so fanning a campaign over a
-        process pool ships row offsets instead of telemetry.
-        """
-        return SharedArray(self.buffer)
-
-    def chunk(self, lo: int, hi: int) -> "RunCorpus":
-        """Runs ``lo:hi`` as a new corpus sharing this one's buffer.
-
-        The buffer slice is a contiguous view, so shipping a chunk to a
-        worker pickles one flat memory block instead of ``hi - lo``
-        individual records.
-        """
-        if not 0 <= lo < hi <= len(self):
-            raise ValueError(f"bad chunk bounds [{lo}, {hi}) for {len(self)} runs")
-        base = self.offsets[lo]
-        return RunCorpus(
-            buffer=self.buffer[base:self.offsets[hi]],
-            offsets=self.offsets[lo:hi + 1] - base,
-            apps=self.apps[lo:hi],
-            input_decks=self.input_decks[lo:hi],
-            node_counts=self.node_counts[lo:hi],
-            node_ids=self.node_ids[lo:hi],
-            anomalies=self.anomalies[lo:hi],
-            intensities=self.intensities[lo:hi],
-            metric_names=self.metric_names,
-        )
 
     # ------------------------------------------------------------------
     @classmethod

@@ -12,6 +12,21 @@ from repro.telemetry.catalog import build_catalog
 from repro.telemetry.node import VOLTA_NODE
 
 
+@pytest.fixture
+def fan_out(monkeypatch):
+    """Make ``repro.parallel.map_blocks`` use its process pool at n_jobs > 1.
+
+    Test-sized work is far below the break-even that keeps work
+    in-process, and a one-CPU affinity mask clamps the workers to one;
+    this lowers the first and widens the second, so the shared-memory
+    worker path runs at any size on any host.
+    """
+    from repro.parallel import executor
+
+    monkeypatch.setattr(executor, "_ROUND_TRIP_S", -1.0)
+    monkeypatch.setattr(executor, "effective_cpu_count", lambda: 4)
+
+
 @pytest.fixture(scope="session")
 def blobs():
     """A well-separated 4-class Gaussian-blob problem (n=240, m=12)."""

@@ -9,6 +9,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import ALBADross
 from repro.core.persistence import FORMAT_VERSION, load_framework, save_framework
 from repro.datasets.generate import generate_runs
+from repro.mlcore.base import clone
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,31 @@ class TestSaveLoad:
             )
         with pytest.raises(ValueError, match="ALBADross instance"):
             load_framework(path)
+
+
+class TestFrameworksSavedWithTransportOption:
+    """Frameworks saved while the extractor and the forest still took a
+    ``backend`` transport option load, diagnose and clone as before."""
+
+    def test_load_diagnose_clone(self, small_framework, tmp_path):
+        fw, pool = small_framework
+        old = pickle.loads(pickle.dumps(fw))
+        old.extractor.__dict__["backend"] = "auto"
+        old.model.__dict__["backend"] = "auto"
+        restored = load_framework(save_framework(old, tmp_path / "old.pkl"))
+        assert "backend" not in vars(restored.extractor)
+        assert "backend" not in vars(restored.model)
+
+        X = fw.featurize(pool)
+        assert np.array_equal(restored.featurize(pool), X)
+        assert np.array_equal(restored.model.predict_proba(X), fw.model.predict_proba(X))
+        assert restored.diagnose(pool) == fw.diagnose(pool)
+
+        twin, fresh = clone(restored.model), clone(fw.model)
+        assert twin.get_params() == fresh.get_params()
+        twin.fit(fw._X_seed, fw._y_seed)
+        fresh.fit(fw._X_seed, fw._y_seed)
+        assert np.array_equal(twin.predict_proba(X), fresh.predict_proba(X))
 
 
 class TestManifestHelpers:

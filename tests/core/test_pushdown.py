@@ -113,14 +113,13 @@ class TestParity:
         runs[2].data[:, [columns[-1], unread[-1]]] = np.nan
         assert np.array_equal(trained.featurize(runs), _oracle(trained, runs))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_n_jobs_2(self, catalog, trained, backend):
+    def test_n_jobs_2(self, catalog, trained, fan_out):
         from repro.parallel import active_segments
 
         before = set(active_segments())
         runs = _records(catalog, [64, 96, 64, 80, 64, 96, 64, 80], seed=4)
         fw = pickle.loads(pickle.dumps(trained))
-        fw.extractor.n_jobs, fw.extractor.backend = 2, backend
+        fw.extractor.n_jobs = 2
         assert np.array_equal(fw.featurize(runs), _oracle(trained, runs))
         assert set(active_segments()) == before
 

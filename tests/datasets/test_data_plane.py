@@ -105,33 +105,29 @@ class TestBuildDatasetDeterminism:
 class TestProcessBackendDeterminism:
     """The zero-copy shared-memory transport must not move a single bit.
 
-    ``backend="auto"`` may resolve to threads on a one-core box, so these
-    tests force the process backend to exercise the shm attach path at
-    every worker count — and verify no ``/dev/shm`` segment survives.
+    Work this small stays in-process on its own, so these tests force the
+    process pool (the ``fan_out`` fixture) to exercise the shm attach
+    path at every worker count — and verify no ``/dev/shm`` segment
+    survives.
     """
 
-    def test_corpus_bit_identical_forced_process(self, micro_config):
+    def test_corpus_bit_identical_forced_process(self, micro_config, fan_out):
         from repro.parallel import active_segments
 
         before = set(active_segments())
         serial = generate_corpus(micro_config, rng=0, n_jobs=1)
         for n_jobs in (2, 4):
-            parallel = generate_corpus(
-                micro_config, rng=0, n_jobs=n_jobs, backend="process"
-            )
+            parallel = generate_corpus(micro_config, rng=0, n_jobs=n_jobs)
             _assert_corpora_equal(serial, parallel)
         assert set(active_segments()) == before
 
-    def test_build_dataset_bit_identical_forced_process(self, micro_config):
+    def test_build_dataset_bit_identical_forced_process(self, micro_config, fan_out):
         from repro.parallel import active_segments
 
         before = set(active_segments())
         ref, _ = build_dataset(micro_config, method="mvts", rng=0, n_jobs=1)
         for n_jobs in (2, 4):
-            ds, _ = build_dataset(
-                micro_config, method="mvts", rng=0, n_jobs=n_jobs,
-                backend="process",
-            )
+            ds, _ = build_dataset(micro_config, method="mvts", rng=0, n_jobs=n_jobs)
             assert np.array_equal(ref.X, ds.X)
             assert np.array_equal(ref.labels, ds.labels)
             assert ref.feature_names == ds.feature_names

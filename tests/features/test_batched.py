@@ -4,7 +4,7 @@ The batched path hstacks equal-length runs into one ``(T, B*M)`` panel and
 runs preprocessing + extraction once per group. Every test here pins the
 contract that batching is *invisible* in the output bytes: mixed-length
 corpora, single-run groups, constant/sd=0 columns, the error contracts,
-counter-mask alignment, and both worker backends at n_jobs ∈ {1, 2, 4}.
+counter-mask alignment, and the process pool at n_jobs ∈ {1, 2, 4}.
 """
 
 import numpy as np
@@ -330,10 +330,10 @@ class TestColumnPlan:
 
 
 class TestParallelParity:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_n_jobs_bitwise_identical(self, catalog, backend):
-        """Acceptance pin: mixed-length corpus, n_jobs ∈ {1, 2, 4}, both
-        backends — not a single bit moves, and no shm segment leaks."""
+    def test_n_jobs_bitwise_identical(self, catalog, fan_out):
+        """Acceptance pin: mixed-length corpus, n_jobs ∈ {1, 2, 4} through
+        the process pool — not a single bit moves, and no shm segment
+        leaks."""
         from repro.parallel import active_segments
 
         before = set(active_segments())
@@ -345,7 +345,7 @@ class TestParallelParity:
         )
         for n_jobs in (2, 4):
             parallel = FeatureExtractor(
-                catalog, method="mvts", n_jobs=n_jobs, backend=backend
+                catalog, method="mvts", n_jobs=n_jobs
             ).fit_transform(corpus)
             assert np.array_equal(serial.X, parallel.X)
             assert serial.feature_names == parallel.feature_names

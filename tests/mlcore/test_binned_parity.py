@@ -127,13 +127,13 @@ class TestForestDeterminism:
         assert np.array_equal(probas[0], probas[2])
 
     @pytest.mark.parametrize("splitter", ["exact", "hist"])
-    def test_bit_identical_forced_process_backend(self, splitter):
+    def test_bit_identical_forced_process_backend(self, splitter, fan_out):
         """The shared-memory transport must not move a single bit.
 
-        ``backend="auto"`` may degrade to the serial path on a one-core
-        box, so force the process backend: workers attach the code
-        matrices (hist) or the raw feature matrix (exact) from
-        ``/dev/shm`` and every segment must be gone afterwards.
+        A fit this small stays in-process on its own, so force the
+        process pool: workers attach the code matrices (hist) or the
+        rank matrix and its value table (exact) from ``/dev/shm`` and
+        every segment must be gone afterwards.
         """
         from repro.parallel import active_segments
 
@@ -148,7 +148,6 @@ class TestForestDeterminism:
                 max_depth=6,
                 splitter=splitter,
                 n_jobs=n_jobs,
-                backend="process",
                 random_state=42,
             ).fit(X, y)
             probas.append(m.predict_proba(X))

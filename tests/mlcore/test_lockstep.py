@@ -206,17 +206,14 @@ class TestForest:
             assert_trees_equal(got, want)
 
     @pytest.mark.parametrize("splitter", ["exact", "hist"])
-    @pytest.mark.parametrize(
-        "n_jobs,backend", [(1, "auto"), (2, "thread"), (2, "process")]
-    )
-    def test_any_n_jobs_and_backend(self, splitter, n_jobs, backend):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_any_n_jobs(self, splitter, n_jobs, fan_out):
         X, y = _data("continuous", seed=4, n=100, f=16, k=3)
         forest = RandomForestClassifier(
             n_estimators=5,
             max_depth=6,
             splitter=splitter,
             n_jobs=n_jobs,
-            backend=backend,
             random_state=2,
         ).fit(X, y)
         for got, want in zip(forest.estimators_, fit_forest(forest, X, y)):

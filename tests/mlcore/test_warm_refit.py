@@ -74,7 +74,8 @@ class TestFullRefreshParity:
 
 
 class TestReplacementSchedule:
-    def test_deterministic_across_n_jobs(self):
+    def test_deterministic_across_n_jobs(self, fan_out):
+        # fits and refits at n_jobs 2 and 4 run in the process pool
         X, y, Xq = _problem()
         results = {}
         for n_jobs in (1, 2, 4):

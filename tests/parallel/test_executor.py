@@ -1,10 +1,11 @@
-"""Tests for the chunked thread/process-pool executor."""
+"""Tests for the process-pool executor and the map every n_jobs caller uses."""
 
 import os
 import pickle
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.parallel.executor import (
@@ -12,7 +13,6 @@ from repro.parallel.executor import (
     close_shared_executors,
     default_workers,
     effective_cpu_count,
-    resolve_backend,
     shared_executor,
 )
 
@@ -123,46 +123,6 @@ class TestDefaultWorkers:
         assert Executor(n_workers=None).n_workers == 4
 
 
-class TestBackends:
-    def test_thread_backend_matches_serial(self):
-        with Executor(n_workers=4, backend="thread") as ex:
-            assert ex.map(_square, range(30)) == [i * i for i in range(30)]
-
-    def test_thread_backend_keeps_unpicklable_fns(self):
-        # no pickle boundary: closures are fine on the thread backend
-        offset = 7
-        with Executor(n_workers=2, backend="thread") as ex:
-            assert ex.map(lambda x: x + offset, range(6)) == list(range(7, 13))
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            Executor(n_workers=2, backend="greenlet")
-
-    def test_resolve_auto_multicore_is_process(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-        assert resolve_backend("auto") == "process"
-
-    def test_resolve_auto_one_core_is_thread(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert resolve_backend("auto") == "thread"
-
-    def test_auto_on_one_core_clamps_workers(self, monkeypatch):
-        # n_jobs must never be a slowdown: on a one-core mask auto
-        # degrades to the serial path instead of thrashing the GIL
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert Executor(n_workers=8, backend="auto").n_workers == 1
-
-    def test_explicit_thread_backend_keeps_requested_workers(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert Executor(n_workers=8, backend="thread").n_workers == 8
-
-    def test_auto_multicore_keeps_requested_workers(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-        ex = Executor(n_workers=8, backend="auto")
-        assert ex.backend == "process"
-        assert ex.n_workers == 8
-
-
 def _slow_square(x):
     time.sleep(0.02)
     return x * x
@@ -177,9 +137,8 @@ class TestCloseMapRace:
     in-flight map, and a later map lazily restarts the pool.
     """
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_close_waits_for_inflight_map(self, backend):
-        ex = Executor(n_workers=2, backend=backend)
+    def test_close_waits_for_inflight_map(self):
+        ex = Executor(n_workers=2)
         results: list = []
         errors: list = []
 
@@ -204,23 +163,19 @@ class TestCloseMapRace:
 
 class TestSharedExecutors:
     def test_same_key_returns_same_instance(self):
-        a = shared_executor(2, backend="thread")
-        b = shared_executor(2, backend="thread")
+        a = shared_executor(2)
+        b = shared_executor(2)
         assert a is b
 
     def test_distinct_keys_get_distinct_pools(self):
-        a = shared_executor(2, backend="thread")
-        b = shared_executor(3, backend="thread")
+        a = shared_executor(2)
+        b = shared_executor(3)
         assert a is not b
 
     def test_close_shared_executors_resets_registry(self):
-        a = shared_executor(2, backend="thread")
+        a = shared_executor(2)
         close_shared_executors()
-        assert shared_executor(2, backend="thread") is not a
-
-    def test_auto_key_resolves_per_machine(self):
-        ex = shared_executor(2, backend="auto")
-        assert ex.backend == resolve_backend("auto")
+        assert shared_executor(2) is not a
 
 
 class TestSerialFallback:
@@ -310,18 +265,6 @@ class TestPoolReuse:
         finally:
             ex.close()
 
-    def test_executor_with_live_thread_pool_is_picklable(self):
-        ex = Executor(n_workers=2, backend="thread")
-        try:
-            ex.map(_square, range(4))
-            clone = pickle.loads(pickle.dumps(ex))
-            assert clone._pool is None
-            assert clone.backend == "thread"
-            assert clone.map(_square, range(3)) == [0, 1, 4]
-            clone.close()
-        finally:
-            ex.close()
-
 
 def _cube(x):
     return x * x * x
@@ -331,24 +274,131 @@ class TestWorkerFnCache:
     """The map function ships once per pool, not once per chunk."""
 
     def test_pool_is_seeded_with_first_fn(self):
-        with Executor(n_workers=2, backend="process") as ex:
+        with Executor(n_workers=2) as ex:
             ex.map(_square, range(8))
             assert ex._seeded_digest is not None
 
     def test_same_fn_reuses_seeded_pool(self):
-        with Executor(n_workers=2, backend="process") as ex:
+        with Executor(n_workers=2) as ex:
             ex.map(_square, range(8))
             pool = ex._pool
             assert ex.map(_square, range(8)) == [i * i for i in range(8)]
             assert ex._pool is pool
 
     def test_different_fn_same_pool_still_correct(self):
-        with Executor(n_workers=2, backend="process") as ex:
+        with Executor(n_workers=2) as ex:
             assert ex.map(_square, range(6)) == [i * i for i in range(6)]
             assert ex.map(_cube, range(6)) == [i ** 3 for i in range(6)]
 
     def test_seed_cleared_on_close(self):
-        ex = Executor(n_workers=2, backend="process")
+        ex = Executor(n_workers=2)
         ex.map(_square, range(8))
         ex.close()
         assert ex._seeded_digest is None
+
+
+# ---------------------------------------------------------------------------
+# map_blocks: the one path every n_jobs caller takes
+
+
+def _pids(block):
+    return [(os.getpid(), x) for x in block]
+
+
+def _weighted_sums(block, data, nothing, weights):
+    assert nothing is None
+    return [float(data[i].sum() * weights[i]) for i in block]
+
+
+def _fail_on_seven(block, data):
+    if 7 in block:
+        raise ValueError("item 7")
+    return list(block)
+
+
+@pytest.fixture
+def fresh_timings(monkeypatch):
+    import repro.parallel.executor as executor_mod
+
+    timings: dict = {}
+    monkeypatch.setattr(executor_mod, "_SECONDS_PER_ITEM", timings)
+    return timings
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    import repro.parallel.executor as executor_mod
+
+    def _explode(*args, **kwargs):
+        raise AssertionError("this map must stay in-process")
+
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", _explode)
+
+
+class TestMapBlocksInProcess:
+    @pytest.mark.parametrize("n_jobs", [None, 0, 1])
+    def test_n_jobs_one_is_one_call(self, n_jobs, fresh_timings, no_pool):
+        from repro.parallel import map_blocks
+
+        parts = map_blocks(_pids, range(10), n_jobs=n_jobs)
+        assert parts == [[(os.getpid(), x) for x in range(10)]]
+        assert fresh_timings == {}  # no timing on the n_jobs=1 path
+
+    def test_one_cpu_mask_runs_in_process(self, monkeypatch, fresh_timings, no_pool):
+        from repro.parallel import map_blocks
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        parts = map_blocks(_pids, list(range(10)), n_jobs=8)
+        assert parts == [[(os.getpid(), x) for x in range(10)]]
+
+    def test_small_work_stays_in_process(self, monkeypatch, fresh_timings, no_pool):
+        import repro.parallel.executor as executor_mod
+        from repro.parallel import map_blocks
+
+        monkeypatch.setattr(executor_mod, "effective_cpu_count", lambda: 4)
+        items = list(range(40))
+        # first call: the first block is timed, the rest runs as one block
+        first = map_blocks(_pids, items, n_jobs=4)
+        assert len(first) == 2
+        assert [x for part in first for _, x in part] == items
+        assert {pid for part in first for pid, _ in part} == {os.getpid()}
+        assert len(fresh_timings) == 1
+        # the timing is known now: the same work runs as a single block
+        assert map_blocks(_pids, items, n_jobs=4) == [_pids(items)]
+
+
+class TestMapBlocksFanOut:
+    def test_timed_big_work_fans_out(self, monkeypatch, fresh_timings):
+        import repro.parallel.executor as executor_mod
+        from repro.parallel import map_blocks
+
+        monkeypatch.setattr(executor_mod, "effective_cpu_count", lambda: 2)
+        fresh_timings[executor_mod._cost_key(_pids, ())] = 1.0  # 1 s per item
+        parts = map_blocks(_pids, list(range(16)), n_jobs=2)
+        assert [x for part in parts for _, x in part] == list(range(16))
+        pids = {pid for part in parts for pid, _ in part}
+        assert pids and os.getpid() not in pids
+        # the workers' own timing replaces the estimate
+        assert fresh_timings[executor_mod._cost_key(_pids, ())] < 1.0
+
+    @pytest.mark.parametrize("n_jobs", [2, 3, 4])
+    def test_arrays_cross_through_shared_memory(self, n_jobs, fan_out):
+        from repro.parallel import active_segments, map_blocks
+
+        before = set(active_segments())
+        rng = np.random.default_rng(0)
+        data, weights = rng.normal(size=(30, 5)), rng.normal(size=30)
+        arrays = (data, None, weights)
+        serial = map_blocks(_weighted_sums, np.arange(30), arrays)
+        parts = map_blocks(_weighted_sums, np.arange(30), arrays, n_jobs=n_jobs)
+        assert len(parts) > 1
+        assert [v for part in parts for v in part] == serial[0]
+        assert set(active_segments()) == before
+
+    def test_worker_error_propagates_and_unlinks(self, fan_out):
+        from repro.parallel import active_segments, map_blocks
+
+        before = set(active_segments())
+        with pytest.raises(ValueError, match="item 7"):
+            map_blocks(_fail_on_seven, range(20), (np.zeros((20, 2)),), n_jobs=2)
+        assert set(active_segments()) == before

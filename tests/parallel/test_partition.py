@@ -1,11 +1,11 @@
-"""Tests for block/cyclic partitioners."""
+"""Tests for the block partitioners."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.partition import block_partition, chunk_sizes, cyclic_partition
+from repro.parallel.partition import block_partition, chunk_sizes
 
 
 class TestChunkSizes:
@@ -46,21 +46,3 @@ class TestBlockPartition:
         merged = np.concatenate(parts) if parts else np.array([])
         assert np.array_equal(merged, np.arange(n))
 
-
-class TestCyclicPartition:
-    def test_round_robin_assignment(self):
-        parts = cyclic_partition(7, 3)
-        assert list(parts[0]) == [0, 3, 6]
-        assert list(parts[1]) == [1, 4]
-        assert list(parts[2]) == [2, 5]
-
-    @given(n=st.integers(0, 300), p=st.integers(1, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_exact_cover_unordered(self, n, p):
-        parts = cyclic_partition(n, p)
-        merged = np.sort(np.concatenate(parts)) if parts else np.array([])
-        assert np.array_equal(merged, np.arange(n))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cyclic_partition(5, 0)

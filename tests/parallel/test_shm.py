@@ -115,7 +115,7 @@ class TestWorkerLifecycles:
     def test_workers_attach_and_owner_unlinks(self):
         data = _matrix()
         with SharedArray(data) as sh:
-            with Executor(n_workers=2, backend="process") as ex:
+            with Executor(n_workers=2) as ex:
                 out = ex.map(
                     _read_cell, [(sh.handle, i) for i in range(len(data))]
                 )
@@ -126,7 +126,7 @@ class TestWorkerLifecycles:
 
         with SharedArray(_matrix()) as sh:
             name = sh.handle.name
-            ex = Executor(n_workers=2, backend="process")
+            ex = Executor(n_workers=2)
             try:
                 with pytest.raises(BrokenProcessPool):
                     ex.map(_crash, [(sh.handle, i) for i in range(6)])
@@ -137,7 +137,7 @@ class TestWorkerLifecycles:
     def test_exception_during_map_leaves_no_segment(self):
         with SharedArray(_matrix()) as sh:
             name = sh.handle.name
-            with Executor(n_workers=2, backend="process") as ex:
+            with Executor(n_workers=2) as ex:
                 with pytest.raises(IndexError):
                     ex.map(
                         _read_cell, [(sh.handle, i) for i in range(100)]

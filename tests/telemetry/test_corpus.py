@@ -70,17 +70,13 @@ class TestRoundtrip:
 
 
 class TestChunkConcat:
-    def test_chunk_shares_data(self):
-        corpus = RunCorpus.from_records(_records())
-        chunk = corpus.chunk(1, 4)
-        assert len(chunk) == 3
-        for i in range(3):
-            assert np.array_equal(chunk.run_data(i), corpus.run_data(1 + i))
-        assert list(chunk.apps) == list(corpus.apps[1:4])
-
     def test_concat_of_chunks_is_identity(self):
-        corpus = RunCorpus.from_records(_records(n=7))
-        parts = [corpus.chunk(0, 2), corpus.chunk(2, 5), corpus.chunk(5, 7)]
+        records = _records(n=7)
+        corpus = RunCorpus.from_records(records)
+        parts = [
+            RunCorpus.from_records(records[lo:hi])
+            for lo, hi in ((0, 2), (2, 5), (5, 7))
+        ]
         back = RunCorpus.concat(parts)
         assert np.array_equal(back.buffer, corpus.buffer)
         assert np.array_equal(back.offsets, corpus.offsets)
