@@ -158,8 +158,10 @@ class TestForestFit:
         arms = list(times)
         # two full order rotations: the box throttles under sustained
         # load, so a fixed order measures later arms systematically hot;
-        # every arm visits every position equally often
-        for rep in range(2 * len(arms) if not SMOKE else REPS):
+        # every arm visits every position equally often. Six reps per arm
+        # at either profile: on a host that keeps every arm in-process
+        # the arms run the same fit, so a 2-rep statistic is left to noise
+        for rep in range(2 * len(arms)):
             for n_jobs in arms[rep % len(arms):] + arms[:rep % len(arms)]:
                 times[n_jobs].append(
                     _fit_seconds(
@@ -168,13 +170,15 @@ class TestForestFit:
                         splitter="hist", n_jobs=n_jobs,
                     )
                 )
-        med = {n: float(np.median(ts)) for n, ts in times.items()}
+        # fastest of the reps, as perfbench reads a timing: a shared host
+        # only ever adds time
+        fastest = {n: float(np.min(ts)) for n, ts in times.items()}
         payload = {
             "n_trees": trees,
             "reps": len(times[1]),
-            "seconds": {str(n): round(t, 4) for n, t in med.items()},
+            "seconds": {str(n): round(t, 4) for n, t in fastest.items()},
             "speedup_vs_serial": {
-                str(n): round(med[1] / t, 2) for n, t in med.items()
+                str(n): round(fastest[1] / t, 2) for n, t in fastest.items()
             },
             "note": (
                 "worker scaling is bounded by the affinity mask; on a "
@@ -188,10 +192,10 @@ class TestForestFit:
         # not asserted; determinism across n_jobs is asserted in tier-1.
         # But n_jobs must never be a *slowdown* — every parallel arm
         # stays within 5% of serial on any affinity mask.
-        for n_jobs, t in med.items():
-            assert med[1] / t >= 0.95, (
+        for n_jobs, t in fastest.items():
+            assert fastest[1] / t >= 0.95, (
                 f"parallel overhead: n_jobs={n_jobs} arm is "
-                f"{t / med[1]:.2f}x serial"
+                f"{t / fastest[1]:.2f}x serial"
             )
 
 

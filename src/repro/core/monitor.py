@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["DriftReport", "DriftMonitor"]
 
@@ -116,6 +115,10 @@ class DriftMonitor:
             )
         if len(X) < 8:
             raise ValueError("window too small for a KS test (need >= 8)")
+
+        # imported here: scipy is costly to import, and serving never
+        # reaches this check
+        from scipy import stats
 
         n_features = X.shape[1]
         rejected = 0

@@ -23,12 +23,17 @@ each run separately; what changes is that the fixed Python/numpy dispatch
 cost of the ~hundreds of kernels is paid once per *corpus*, not once per
 *run*.
 
-Extraction is also **column-planned**: :meth:`FeatureExtractor.transform`
-takes a :class:`ColumnPlan` naming the features wanted, slices the metric
-columns they read out of the corpus before step 1, and gathers the
-features from the narrower output. Because every step works per column,
-the gathered features are bit-identical to extracting every column and
-then indexing; the default plan is every kept feature.
+Extraction is also **planned** by (metric column, statistic group):
+:meth:`FeatureExtractor.transform` takes a :class:`ColumnPlan` naming the
+features wanted, slices the metric columns they read out of the corpus
+before step 1, runs each statistic group of the extractor
+(:data:`~repro.features.mvts.MVTS_GROUPS`,
+:data:`~repro.features.tsfresh_lite.TSFRESH_GROUPS`) only on the columns
+where a wanted feature needs it, and gathers the features from the
+narrower output. Because every step works per column, the gathered
+features are bit-identical to extracting every statistic of every column
+and then indexing; the default plan is every kept feature, with every
+group on every column.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from ..telemetry.corpus import (
     RunCorpus,
     plan_length_groups,
 )
-from .mvts import MVTS_FEATURE_NAMES, extract_mvts
-from .tsfresh_lite import TSFRESH_FEATURE_NAMES, extract_tsfresh
+from .mvts import MVTS_FEATURE_NAMES, MVTS_GROUPS, StatGroup, extract_mvts
+from .tsfresh_lite import TSFRESH_FEATURE_NAMES, TSFRESH_GROUPS, extract_tsfresh
 
 __all__ = [
     "interpolate_missing",
@@ -59,9 +64,11 @@ __all__ = [
     "FeatureExtractor",
 ]
 
-_EXTRACTORS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], tuple[str, ...]]] = {
-    "mvts": (extract_mvts, MVTS_FEATURE_NAMES),
-    "tsfresh": (extract_tsfresh, TSFRESH_FEATURE_NAMES),
+_EXTRACTORS: dict[
+    str, tuple[Callable[..., np.ndarray], tuple[str, ...], tuple[StatGroup, ...]]
+] = {
+    "mvts": (extract_mvts, MVTS_FEATURE_NAMES, MVTS_GROUPS),
+    "tsfresh": (extract_tsfresh, TSFRESH_FEATURE_NAMES, TSFRESH_GROUPS),
 }
 
 
@@ -71,16 +78,20 @@ def interpolate_missing(data: np.ndarray) -> np.ndarray:
     Columns that are entirely NaN become zero (they will be dropped by the
     zero-feature filter downstream).
 
-    The whole matrix is filled in one masked-gather pass — the previous-
-    and next-good-sample indices come from prefix max/min scans, so there
-    is no per-column Python loop. The arithmetic mirrors ``np.interp``
-    (``slope * (t - t_prev) + v_prev`` in float64), keeping the output
-    bit-identical to the historical per-column implementation.
+    The columns with a gap are filled in one masked-gather pass — the
+    previous- and next-good-sample indices come from prefix max/min scans,
+    so there is no per-column Python loop. The arithmetic mirrors
+    ``np.interp`` (``slope * (t - t_prev) + v_prev`` in float64), keeping
+    the output bit-identical to the historical per-column implementation.
     """
-    data = np.asarray(data, dtype=np.float64).copy()
-    bad = np.isnan(data)
-    if not bad.any():
-        return data
+    out = np.asarray(data, dtype=np.float64).copy()
+    bad = np.isnan(out)
+    gaps = np.flatnonzero(bad.any(axis=0))
+    if not len(gaps):
+        return out
+    # every step below is elementwise within a column, so only the
+    # columns with a gap need it
+    data, bad = out[:, gaps], bad[:, gaps]
     T = data.shape[0]
     t_idx = np.arange(T, dtype=np.int64)[:, None]
     # index of the last good sample at or before t (-1: none yet) and the
@@ -96,10 +107,10 @@ def interpolate_missing(data: np.ndarray) -> np.ndarray:
     interior = slope * (t_idx.astype(np.float64) - prev) + vp
     filled = np.where(prev < 0, vn, np.where(nxt >= T, vp, interior))
     data[bad] = filled[bad]
-    all_bad = bad.all(axis=0)
-    if all_bad.any():
-        data[:, all_bad] = 0.0
-    return data
+    # columns entirely NaN become zero
+    data[:, bad.all(axis=0)] = 0.0
+    out[:, gaps] = data
+    return out
 
 
 def preprocess_run(
@@ -182,6 +193,7 @@ def batched_feature_rows(
     trim_frac: tuple[float, float],
     method: str,
     max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS,
+    groups: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Featurize every run of a packed buffer in one kernel pass per length.
 
@@ -201,12 +213,18 @@ def batched_feature_rows(
     A run too short to survive trimming raises the same ``ValueError`` as
     ``preprocess_run`` on that run alone (it checks post-trim length before
     touching the data, and every run in a group shares one length).
+
+    ``groups`` is a :attr:`ColumnPlan.groups`: for each statistic group of
+    the method, the buffer columns it runs on (None: every group on every
+    column). It is tiled across each panel's runs; cells it leaves out are
+    NaN.
     """
     extract = _EXTRACTORS[method][0]
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.diff(offsets)
+    width = buffer.shape[1]
     out: np.ndarray | None = None
-    for idx in plan_length_groups(lengths, buffer.shape[1], max_panel_elems):
+    for idx in plan_length_groups(lengths, width, max_panel_elems):
         mats = [buffer[offsets[i]:offsets[i + 1]] for i in idx]
         if len(mats) == 1:
             panel, mask = mats[0], counter_mask
@@ -214,7 +232,11 @@ def batched_feature_rows(
             panel = np.hstack(mats)
             mask = np.tile(counter_mask, len(mats))
         clean = preprocess_run(panel, mask, trim_frac)
-        rows = extract(clean).reshape(len(mats), -1)
+        plan = None if groups is None else [
+            (np.arange(0, len(mats) * width, width)[:, None] + cols).ravel()
+            for cols in groups
+        ]
+        rows = extract(clean, plan).reshape(len(mats), -1)
         if out is None:
             out = np.empty((len(lengths), rows.shape[1]))
         out[idx] = rows
@@ -224,18 +246,23 @@ def batched_feature_rows(
 
 @dataclass(frozen=True)
 class ColumnPlan:
-    """Which metric columns a feature subset reads, and where it lands.
+    """Which (metric column, statistic group) cells a feature subset
+    reads, and where each feature lands.
 
     ``features`` are indices into the extractor's full raw row (metric-
     major, ``n_stats`` features per metric), ascending. ``columns`` are
     the metric columns those features read, ascending; ``positions``
     locate each feature in the raw row of a corpus sliced to ``columns``.
-    Build one with :meth:`FeatureExtractor.plan`.
+    ``groups`` holds, for each statistic group of the method
+    (``MVTS_GROUPS`` / ``TSFRESH_GROUPS``), the indices into ``columns``
+    it must run on; an empty array skips the group. Build one with
+    :meth:`FeatureExtractor.plan`.
     """
 
     features: np.ndarray
     columns: np.ndarray
     positions: np.ndarray
+    groups: tuple[np.ndarray, ...]
 
 
 def _featurize_runs(
@@ -243,6 +270,7 @@ def _featurize_runs(
     trim_frac: tuple[float, float],
     method: str,
     max_panel_elems: int,
+    groups: tuple[np.ndarray, ...] | None,
     runs: range,
     buffer: np.ndarray,
     offsets: np.ndarray,
@@ -256,7 +284,7 @@ def _featurize_runs(
     """
     return batched_feature_rows(
         buffer, offsets[runs.start:runs.stop + 1], counter_mask, trim_frac,
-        method, max_panel_elems,
+        method, max_panel_elems, groups,
     )
 
 
@@ -276,9 +304,9 @@ class FeatureExtractor:
     dispatch overhead of the ~hundreds of numpy/scipy kernels per call
     over the whole corpus — bit-identical to per-run extraction, just
     without paying the dispatch tax once per run. :meth:`transform`
-    extracts only the metric columns its :class:`ColumnPlan` reads, so a
-    caller that needs a few selected features (``ALBADross.featurize``)
-    never pays for the others.
+    extracts only the (metric column, statistic group) cells its
+    :class:`ColumnPlan` reads, so a caller that needs a few selected
+    features (``ALBADross.featurize``) never pays for the others.
 
     With ``n_jobs > 1`` the corpus goes through
     :func:`repro.parallel.map_blocks` as blocks of contiguous runs, each
@@ -322,9 +350,6 @@ class FeatureExtractor:
         self.trim_frac = trim_frac
         self.n_jobs = n_jobs
         self.max_panel_elems = max_panel_elems
-        self._all_names = [
-            f"{m}::{f}" for m in catalog.names for f in _EXTRACTORS[method][1]
-        ]
         self.keep_mask_: np.ndarray | None = None
 
     def __setstate__(self, state: dict) -> None:
@@ -332,18 +357,22 @@ class FeatureExtractor:
         state.setdefault("n_jobs", None)
         state.setdefault("max_panel_elems", DEFAULT_MAX_PANEL_ELEMS)
         # extractors pickled with removed options carry their keys: a
-        # private pool, the per-run hook and the transport choice
-        for key in ("_executor", "map_fn", "_extract", "backend"):
+        # private pool, the per-run hook, the transport choice and the
+        # feature-name table, now derived on demand
+        for key in ("_executor", "map_fn", "_extract", "backend", "_all_names"):
             state.pop(key, None)
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def _featurize_corpus(
-        self, corpus: RunCorpus, counter_mask: np.ndarray
+        self,
+        corpus: RunCorpus,
+        counter_mask: np.ndarray,
+        groups: tuple[np.ndarray, ...] | None,
     ) -> np.ndarray:
         worker = partial(
             _featurize_runs, counter_mask, self.trim_frac, self.method,
-            self.max_panel_elems,
+            self.max_panel_elems, groups,
         )
         parts = map_blocks(
             worker, range(len(corpus)), (corpus.buffer, corpus.offsets), self.n_jobs
@@ -354,8 +383,10 @@ class FeatureExtractor:
         self,
         runs: Sequence[RunRecord] | RunCorpus,
         columns: np.ndarray | None = None,
+        groups: tuple[np.ndarray, ...] | None = None,
     ) -> np.ndarray:
-        """Raw feature rows of ``runs`` over metric ``columns`` (all if None)."""
+        """Raw feature rows of ``runs`` over metric ``columns`` (all if
+        None), each statistic group on its ``groups`` columns (all if None)."""
         # pack record lists up front: serving micro-batches and serial
         # callers get the run-batched kernel pass too, and parallel blocks
         # share one flat buffer (raises on empty or mixed-catalog lists)
@@ -377,7 +408,7 @@ class FeatureExtractor:
         if columns is not None and len(columns) < corpus.n_metrics:
             corpus = corpus.take_columns(columns)
             counter_mask = counter_mask[columns]
-        return self._featurize_corpus(corpus, counter_mask)
+        return self._featurize_corpus(corpus, counter_mask, groups)
 
     def fit_transform(self, runs: Sequence[RunRecord] | RunCorpus) -> FeatureDataset:
         """Featurize a corpus and learn the NaN/zero drop mask from it."""
@@ -393,8 +424,10 @@ class FeatureExtractor:
         """Compile the learned drop mask into a :class:`ColumnPlan`.
 
         ``support`` indexes the *kept* features (a fitted
-        ``SelectKBest.support_``) and narrows the plan to them; ``None``
-        plans every kept feature, which is what :meth:`transform` does by
+        ``SelectKBest.support_``) and narrows the plan to them: each
+        statistic group runs only on the columns where a planned feature
+        needs it. ``None`` plans every kept feature with every group on
+        every planned column, which is what :meth:`transform` does by
         default.
         """
         if self.keep_mask_ is None:
@@ -402,11 +435,23 @@ class FeatureExtractor:
         features = np.flatnonzero(self.keep_mask_)
         if support is not None:
             features = features[support]
-        n_stats = len(_EXTRACTORS[self.method][1])
-        metric = features // n_stats
-        columns = np.unique(metric)
-        positions = np.searchsorted(columns, metric) * n_stats + features % n_stats
-        return ColumnPlan(features, columns, positions)
+        _, stats, groups = _EXTRACTORS[self.method]
+        metric, stat = np.divmod(features, len(stats))
+        columns, col = np.unique(metric, return_inverse=True)
+        positions = col * len(stats) + stat
+        if support is None:
+            every = np.arange(len(columns))
+            return ColumnPlan(features, columns, positions, tuple(every for _ in groups))
+        group_of = np.empty(len(stats), dtype=np.intp)
+        for k, group in enumerate(groups):
+            group_of[list(group.slots)] = k
+        # the distinct (group, column) cells, sorted by group then column
+        cells = np.unique(group_of[stat] * len(columns) + col)
+        cell_group, cell_col = np.divmod(cells, len(columns))
+        bounds = np.searchsorted(cell_group, np.arange(len(groups) + 1))
+        return ColumnPlan(features, columns, positions, tuple(
+            cell_col[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+        ))
 
     def transform(
         self,
@@ -415,12 +460,13 @@ class FeatureExtractor:
     ) -> FeatureDataset:
         """Featurize new runs with the already-learned drop mask.
 
-        Only the metric columns that ``plan`` reads are extracted (see
-        :meth:`plan`); the output columns are ``plan.features``, in order.
+        Only the (metric column, statistic group) cells that ``plan`` reads
+        are extracted (see :meth:`plan`); the output columns are
+        ``plan.features``, in order.
         """
         if plan is None:
             plan = self.plan()
-        raw = self._featurize_all(runs, plan.columns)
+        raw = self._featurize_all(runs, plan.columns, plan.groups)
         # test-time NaNs (e.g. all-missing metric) are zero-filled: the
         # model must not crash on a degraded run
         return self._package(runs, np.nan_to_num(raw[:, plan.positions]), plan.features)
@@ -431,7 +477,11 @@ class FeatureExtractor:
         X: np.ndarray,
         features: np.ndarray,
     ) -> FeatureDataset:
-        names = [self._all_names[i] for i in features]
+        # names (metric::statistic) of just these raw indices: the full
+        # table is n_metrics * n_stats strings, most never read
+        stats = _EXTRACTORS[self.method][1]
+        n_stats, metrics = len(stats), self.catalog.names
+        names = [f"{metrics[i // n_stats]}::{stats[i % n_stats]}" for i in features.tolist()]
         if isinstance(runs, RunCorpus):
             return FeatureDataset(
                 X=X,
@@ -455,4 +505,4 @@ class FeatureExtractor:
     @property
     def n_features_raw(self) -> int:
         """Feature count before the NaN/zero drop."""
-        return len(self._all_names)
+        return len(self.catalog.names) * len(_EXTRACTORS[self.method][1])

@@ -14,9 +14,18 @@ what drives the paper's Volta result (TSFRESH wins there, Table V).
 Every feature — approximate entropy included — is vectorized across all
 M columns: ApEn builds one boolean "samples within r" tensor for whole
 blocks of columns at once and reads every template length off it with
-shifted ANDs (:func:`_approx_entropy_matrix`), the quantiles come from one
-``np.percentile`` call, and the distinct-value counts from a single sort
-along axis 0. The hot path contains no per-metric Python loop.
+shifted ANDs (:func:`_approx_entropy_matrix`), the quantiles of both
+feature sets come from one ``np.percentile`` call on the sorted columns,
+and the distinct-value counts from the same sort. The hot path contains
+no per-metric Python loop.
+
+The 112 features are the 12 MVTS statistic groups plus 19 more
+(:data:`TSFRESH_GROUPS`), among them ApEn, the Welch spectrum and its
+shape, autocorrelation aggregates and AR, peaks and duplication counts.
+As in :mod:`repro.features.mvts`, :func:`extract_tsfresh` runs each group
+only on the columns its plan names, and the groups share intermediates
+through a :class:`TsfreshPanel`: a model that selects ApEn on a few
+columns pays for the costliest kernel on those columns only.
 
 Like :mod:`repro.features.mvts`, every kernel treats columns
 independently with width-stable accumulation, so the column count is
@@ -28,12 +37,29 @@ panels (see :func:`_approx_entropy_matrix`).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
-from scipy import signal
 
-from .mvts import MVTS_FEATURE_NAMES, _autocorr, _longest_true_run, extract_mvts
+from .mvts import (
+    MVTS_FEATURE_NAMES,
+    MVTS_GROUPS,
+    GroupPlan,
+    Panel,
+    StatGroup,
+    _longest_true_run,
+    checked_panel,
+    extract_groups,
+    stat_group,
+)
 
-__all__ = ["TSFRESH_FEATURE_NAMES", "extract_tsfresh", "feature_names_for"]
+__all__ = [
+    "TSFRESH_FEATURE_NAMES",
+    "TSFRESH_GROUPS",
+    "TsfreshPanel",
+    "extract_tsfresh",
+    "feature_names_for",
+]
 
 _EXTRA_NAMES: tuple[str, ...] = (
     "approx_entropy",
@@ -125,119 +151,224 @@ def _approx_entropy_matrix(
     return np.where(sd < 1e-18, 0.0, out)
 
 
-def extract_tsfresh(X: np.ndarray) -> np.ndarray:
-    """Compute the 112 TSFRESH-lite features per column of a (T, M) matrix.
+class TsfreshPanel(Panel):
+    """A :class:`~repro.features.mvts.Panel` with the intermediates the
+    TSFRESH-lite groups add: one percentile pass serves both feature sets'
+    quantiles, and the Welch spectrum is shared by its two groups."""
 
-    Returns a flat ``(M * 112,)`` vector, metric-major, ordered per
-    :data:`TSFRESH_FEATURE_NAMES`. Because the layout is column-major a
-    ``(T, B*M)`` panel of B equal-length runs yields ``(B*M*112,)``, which
-    reshapes to one ``(B, M*112)`` feature row per run.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected (T, M), got {X.shape}")
+    QUANTILES = (5, 10, 25, 30, 40, 50, 60, 70, 75, 90, 95, 99)
+
+    @cached_property
+    def median(self) -> np.ndarray:
+        # np.median, which rounds unlike percentile(50)
+        return np.median(self.ascending, axis=0)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Welch frequencies, PSD and the total power safe to divide by."""
+        # imported here: scipy is costly to import, and only this group
+        # of the TSFRESH method needs it
+        from scipy import signal
+
+        freqs, psd = signal.welch(self.X, fs=1.0, nperseg=min(self.T, 64), axis=0)
+        total_power = psd.sum(axis=0)
+        return freqs, psd, np.where(total_power > 1e-18, total_power, 1.0)
+
+    @cached_property
+    def psd_norm(self) -> np.ndarray:
+        _, psd, safe_power = self.spectrum
+        return psd / safe_power
+
+    @cached_property
+    def centroid(self) -> np.ndarray:
+        # np.sum, not `freqs @ psd`: BLAS accumulation order varies with
+        # matrix width, which would break per-run vs run-batched
+        # bit-identity (see _linfit in mvts.py)
+        freqs, psd, safe_power = self.spectrum
+        return np.sum(freqs[:, None] * psd, axis=0) / safe_power
+
+
+def _count_peaks(X: np.ndarray, support: int) -> np.ndarray:
+    """Samples strictly greater than ``support`` neighbours on each side."""
     T, M = X.shape
-    if T < 8:
-        raise ValueError(f"need at least 8 timesteps, got {T}")
-    if np.isnan(X).any():
-        raise ValueError("input contains NaNs; interpolate first (see pipeline)")
-
-    base = extract_mvts(X).reshape(M, len(MVTS_FEATURE_NAMES))
-    extra = np.empty((len(_EXTRA_NAMES), M))
-
-    # approximate entropy, whole matrix at once
-    extra[0] = _approx_entropy_matrix(X)
-
-    # Welch PSD over all columns at once
-    nperseg = min(T, 64)
-    freqs, psd = signal.welch(X, fs=1.0, nperseg=nperseg, axis=0)
-    total_power = psd.sum(axis=0)
-    safe_power = np.where(total_power > 1e-18, total_power, 1.0)
-    bands = np.array_split(np.arange(len(freqs)), 4)
-    for b, idx in enumerate(bands):
-        extra[1 + b] = psd[idx].sum(axis=0) / safe_power
-    # spectral centroid — np.sum, not `freqs @ psd`: BLAS accumulation
-    # order varies with matrix width, which would break per-run vs
-    # run-batched bit-identity (see _linfit in mvts.py)
-    extra[5] = np.sum(freqs[:, None] * psd, axis=0) / safe_power
-    p_norm = psd / safe_power
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_p = np.where(p_norm > 0, np.log(np.where(p_norm > 0, p_norm, 1.0)), 0.0)
-    extra[6] = -np.sum(p_norm * log_p, axis=0)  # spectral entropy
-    extra[7] = freqs[np.argmax(psd, axis=0)]  # dominant frequency
-
-    # complexity / nonlinearity
-    diffs = np.diff(X, axis=0)
-    sd = X.std(axis=0)
-    safe_sd = np.where(sd > 1e-18, sd, 1.0)
-    extra[8] = np.sqrt(np.sum((diffs / safe_sd) ** 2, axis=0))  # normalized CID
-    extra[9] = np.mean(X[2:] * X[1:-1] * X[:-2], axis=0)  # c3, lag 1
-    extra[10] = np.mean(X[2:] ** 2 * X[1:-1] - X[1:-1] * X[:-2] ** 2, axis=0)
-
-    # binned entropy, 10 bins per column
-    mn, mx = X.min(axis=0), X.max(axis=0)
-    span = np.where(mx - mn > 1e-18, mx - mn, 1.0)
-    bins = np.clip(((X - mn) / span * 10).astype(int), 0, 9)
-    be = np.zeros(M)
-    for b in range(10):
-        p = np.mean(bins == b, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            be -= np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    extra[11] = be
-
-    # peaks with support 3 (strictly greater than 3 neighbors each side)
-    support = 3
+    if T <= 2 * support:
+        return np.zeros(M)
     peak = np.ones((T - 2 * support, M), dtype=bool)
     center = X[support : T - support]
     for off in range(1, support + 1):
         peak &= center > X[support - off : T - support - off]
         peak &= center > X[support + off : T - support + off]
-    extra[12] = peak.sum(axis=0)
+    return peak.sum(axis=0)
 
-    # every order statistic in one partition pass: each quantile's linear
-    # interpolation is elementwise, so each equals its own one-quantile call
-    # (the median stays np.median, which rounds unlike percentile(50))
-    q10, q1, q30, q40, q60, q70, q3, q90, q99 = np.percentile(
-        X, [10, 25, 30, 40, 60, 70, 75, 90, 99], axis=0
+
+_groups: list[StatGroup] = []
+
+
+def _group(*stats: str):
+    return stat_group(_groups, TSFRESH_FEATURE_NAMES, *stats)
+
+
+@_group("approx_entropy")
+def _apen(p: TsfreshPanel) -> tuple:
+    return (_approx_entropy_matrix(p.X),)
+
+
+@_group(
+    "psd_band0", "psd_band1", "psd_band2", "psd_band3",
+    "spectral_centroid", "spectral_entropy", "max_psd_freq",
+)
+def _spectrum(p: TsfreshPanel) -> tuple:
+    freqs, psd, safe_power = p.spectrum
+    bands = [
+        psd[idx].sum(axis=0) / safe_power
+        for idx in np.array_split(np.arange(len(freqs)), 4)
+    ]
+    p_norm = p.psd_norm
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log_p = np.where(p_norm > 0, np.log(np.where(p_norm > 0, p_norm, 1.0)), 0.0)
+    return (
+        *bands,
+        p.centroid,
+        -np.sum(p_norm * log_p, axis=0),  # spectral entropy
+        freqs[np.argmax(psd, axis=0)],  # dominant frequency
     )
-    med = np.median(X, axis=0)
-    extra[13], extra[14], extra[15], extra[16], extra[17] = q10, q30, q70, q90, q99
 
-    # energy localization: chunk energies as fractions of total
-    sq = X**2
-    total_energy = np.where(sq.sum(axis=0) > 1e-18, sq.sum(axis=0), 1.0)
-    for b, idx in enumerate(np.array_split(np.arange(T), 4)):
-        extra[18 + b] = sq[idx].sum(axis=0) / total_energy
 
-    # index mass quantiles: relative index where cumulative |x| mass passes q
-    absX = np.abs(X)
-    mass = np.cumsum(absX, axis=0)
+@_group("psd_variance", "psd_skewness", "psd_kurtosis")
+def _spectral_shape(p: TsfreshPanel) -> tuple:
+    # central moments of the normalized PSD over frequency
+    freqs = p.spectrum[0]
+    fdev = freqs[:, None] - p.centroid[None, :]
+    psd_norm = p.psd_norm
+    m2 = np.sum(psd_norm * fdev**2, axis=0)
+    safe_m2 = np.where(m2 > 1e-18, m2, 1.0)
+    return (
+        m2,
+        np.where(m2 > 1e-18, np.sum(psd_norm * fdev**3, axis=0) / safe_m2**1.5, 0.0),
+        np.where(m2 > 1e-18, np.sum(psd_norm * fdev**4, axis=0) / safe_m2**2, 0.0),
+    )
+
+
+@_group("cid_ce", "sum_abs_changes", "cid_ce_unnormalized")
+def _complexity(p: TsfreshPanel) -> tuple:
+    diffs = p.diffs
+    return (
+        np.sqrt(np.sum((diffs / p.safe_sd) ** 2, axis=0)),  # normalized CID
+        np.sum(p.abs_diffs, axis=0),
+        np.sqrt(np.sum(diffs**2, axis=0)),  # unnormalized CID
+    )
+
+
+@_group("c3_lag1", "time_reversal_asymmetry", "c3_lag2", "trev_lag2")
+def _nonlinearity(p: TsfreshPanel) -> tuple:
+    X = p.X
+    return (
+        np.mean(X[2:] * X[1:-1] * X[:-2], axis=0),
+        np.mean(X[2:] ** 2 * X[1:-1] - X[1:-1] * X[:-2] ** 2, axis=0),
+        np.mean(X[4:] * X[2:-2] * X[:-4], axis=0),
+        np.mean(X[4:] ** 2 * X[2:-2] - X[2:-2] * X[:-4] ** 2, axis=0),
+    )
+
+
+@_group("binned_entropy")
+def _binned_entropy(p: TsfreshPanel) -> tuple:
+    # 10 bins per column
+    mn, mx = p.mn, p.mx
+    span = np.where(mx - mn > 1e-18, mx - mn, 1.0)
+    bins = np.clip(((p.X - mn) / span * 10).astype(int), 0, 9)
+    be = np.zeros(p.X.shape[1])
+    for b in range(10):
+        pb = np.mean(bins == b, axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            be -= np.where(pb > 0, pb * np.log(np.where(pb > 0, pb, 1.0)), 0.0)
+    return (be,)
+
+
+@_group("number_peaks", "number_peaks_s1", "number_peaks_s5")
+def _peaks(p: TsfreshPanel) -> tuple:
+    return tuple(_count_peaks(p.X, support) for support in (3, 1, 5))
+
+
+@_group(
+    "quantile_10", "quantile_30", "quantile_70", "quantile_90", "quantile_99",
+    "quantile_40", "quantile_60", "count_above_q3", "count_below_q1",
+    "first_loc_above_q90", "last_loc_above_q90",
+)
+def _quantiles(p: TsfreshPanel) -> tuple:
+    X, T, q = p.X, p.T, p.quantiles
+    # where the extreme regime lives in time
+    above = X > q[90]
+    any_above = above.any(axis=0)
+    first = np.argmax(above, axis=0) / T
+    last = (T - 1 - np.argmax(above[::-1], axis=0)) / T
+    return (
+        q[10], q[30], q[70], q[90], q[99], q[40], q[60],
+        np.sum(X > q[75], axis=0),
+        np.sum(X < q[25], axis=0),
+        np.where(any_above, first, 1.0),
+        np.where(any_above, last, 0.0),
+    )
+
+
+@_group("energy_chunk0", "energy_chunk1", "energy_chunk2", "energy_chunk3")
+def _energy(p: TsfreshPanel) -> tuple:
+    # chunk energies as fractions of the total
+    sq = p.sq
+    energy = sq.sum(axis=0)
+    total_energy = np.where(energy > 1e-18, energy, 1.0)
+    return tuple(
+        sq[idx].sum(axis=0) / total_energy for idx in np.array_split(np.arange(p.T), 4)
+    )
+
+
+@_group("index_mass_q25", "index_mass_q50", "index_mass_q75")
+def _index_mass(p: TsfreshPanel) -> tuple:
+    # relative index where the cumulative |x| mass passes q
+    mass = np.cumsum(p.abs, axis=0)
     total_mass = np.where(mass[-1] > 1e-18, mass[-1], 1.0)
     rel = mass / total_mass
-    for b, q in enumerate((0.25, 0.5, 0.75)):
-        extra[22 + b] = (np.argmax(rel >= q, axis=0) + 1) / T
+    return tuple((np.argmax(rel >= q, axis=0) + 1) / p.T for q in (0.25, 0.5, 0.75))
 
-    # autocorrelation aggregates
-    acs = np.stack([_autocorr(X, lag) for lag in range(1, 11)])
-    extra[25] = acs.mean(axis=0)
-    extra[26] = acs.std(axis=0)
-    extra[27] = acs[4]
-    extra[28] = acs[9]
 
-    extra[29] = _longest_true_run(X > med)
-    extra[30] = _longest_true_run(X < med)
-    extra[31] = np.sum(X > q3, axis=0)
-    extra[32] = np.sum(X < q1, axis=0)
+@_group("autocorr_mean_1_10", "autocorr_std_1_10", "autocorr_lag5", "autocorr_lag10")
+def _autocorr_aggregates(p: TsfreshPanel) -> tuple:
+    acs = np.stack([p.autocorr(lag) for lag in range(1, 11)])
+    return acs.mean(axis=0), acs.std(axis=0), acs[4], acs[9]
 
-    F = np.abs(np.fft.rfft(X, axis=0))
-    extra[33] = F.mean(axis=0)
-    extra[34] = F.std(axis=0)
-    extra[35] = F[1] if F.shape[0] > 1 else np.zeros(M)
 
-    # ---- second wave ---------------------------------------------------
-    # aggregated linear trend over 4 chunk means
+@_group("ar_coef_1", "ar_coef_2", "pacf_lag2")
+def _autoregressive(p: TsfreshPanel) -> tuple:
+    # AR(2) coefficients via Yule-Walker, and the lag-2 PACF
+    r1, r2 = p.autocorr(1), p.autocorr(2)
+    denom = np.where(np.abs(1 - r1**2) > 1e-12, 1 - r1**2, 1.0)
+    phi2 = (r2 - r1**2) / denom  # lag-2 partial autocorrelation
+    phi1 = r1 * (1 - phi2)
+    return phi1, phi2, phi2  # pacf_lag2: same quantity, its own name
+
+
+@_group("longest_strike_above_median", "longest_strike_below_median", "crossings_median")
+def _median_strikes(p: TsfreshPanel) -> tuple:
+    X, med = p.X, p.median
+    sign_med = np.sign(X - med)
+    return (
+        _longest_true_run(X > med),
+        _longest_true_run(X < med),
+        np.sum(np.abs(np.diff(sign_med, axis=0)) > 1, axis=0),
+    )
+
+
+@_group("fft_abs_mean", "fft_abs_std", "fft_abs_coeff1")
+def _fft(p: TsfreshPanel) -> tuple:
+    F = np.abs(np.fft.rfft(p.X, axis=0))
+    return F.mean(axis=0), F.std(axis=0), F[1] if F.shape[0] > 1 else np.zeros(p.X.shape[1])
+
+
+@_group("agg_trend_slope", "agg_trend_stderr")
+def _aggregated_trend(p: TsfreshPanel) -> tuple:
+    # linear trend over 4 chunk means
+    X = p.X
     chunk_means = np.stack(
-        [X[idx].mean(axis=0) for idx in np.array_split(np.arange(T), 4)]
+        [X[idx].mean(axis=0) for idx in np.array_split(np.arange(p.T), 4)]
     )  # (4, M)
     tc = np.arange(4, dtype=np.float64)
     tc_c = tc - tc.mean()
@@ -246,99 +377,68 @@ def extract_tsfresh(X: np.ndarray) -> np.ndarray:
     ) / np.sum(tc_c**2)
     fitted = chunk_means.mean(axis=0) + np.outer(tc_c, slope)
     resid = chunk_means - fitted
-    extra[36] = slope
-    extra[37] = np.sqrt(np.mean(resid**2, axis=0))
+    return slope, np.sqrt(np.mean(resid**2, axis=0))
 
+
+@_group("change_quantiles_mean_abs", "change_quantiles_std")
+def _change_quantiles(p: TsfreshPanel) -> tuple:
     # change statistics restricted to the interquartile corridor
+    X, q1, q3 = p.X, p.quantiles[25], p.quantiles[75]
     in_corridor = (X[:-1] >= q1) & (X[:-1] <= q3) & (X[1:] >= q1) & (X[1:] <= q3)
-    abs_d = np.abs(diffs)
+    abs_d = p.abs_diffs
     n_in = np.maximum(in_corridor.sum(axis=0), 1)
-    extra[38] = np.where(
-        in_corridor.any(axis=0), (abs_d * in_corridor).sum(axis=0) / n_in, 0.0
-    )
-    corridor_mean = extra[38]
+    any_in = in_corridor.any(axis=0)
+    corridor_mean = np.where(any_in, (abs_d * in_corridor).sum(axis=0) / n_in, 0.0)
     sq_dev = ((abs_d - corridor_mean) ** 2) * in_corridor
-    extra[39] = np.where(
-        in_corridor.any(axis=0), np.sqrt(sq_dev.sum(axis=0) / n_in), 0.0
+    return corridor_mean, np.where(any_in, np.sqrt(sq_dev.sum(axis=0) / n_in), 0.0)
+
+
+@_group("ratio_unique_values", "has_duplicate_max", "has_duplicate_min", "pct_reoccurring_points")
+def _duplicates(p: TsfreshPanel) -> tuple:
+    # distinct-value counts are the adjacent inequalities of the sorted
+    # columns
+    X, T = p.X, p.T
+    n_unique = 1 + np.count_nonzero(np.diff(p.ascending, axis=0), axis=0)
+    return (
+        n_unique / T,
+        (np.sum(X == p.mx, axis=0) > 1).astype(float),
+        (np.sum(X == p.mn, axis=0) > 1).astype(float),
+        1.0 - n_unique / T,
     )
 
-    # duplication structure: distinct-value counts come from one
-    # sort-along-axis-0 pass (adjacent inequalities in sorted order),
-    # replacing the per-column np.unique loop
-    mx_ = X.max(axis=0)
-    mn_ = X.min(axis=0)
-    n_unique = 1 + np.count_nonzero(np.diff(np.sort(X, axis=0), axis=0), axis=0)
-    extra[40] = n_unique / T
-    extra[41] = (np.sum(X == mx_, axis=0) > 1).astype(float)
-    extra[42] = (np.sum(X == mn_, axis=0) > 1).astype(float)
 
-    # AR(2) coefficients via Yule-Walker, and the lag-2 PACF
-    r1 = _autocorr(X, 1)
-    r2 = _autocorr(X, 2)
-    denom = np.where(np.abs(1 - r1**2) > 1e-12, 1 - r1**2, 1.0)
-    phi2 = (r2 - r1**2) / denom  # lag-2 partial autocorrelation
-    phi1 = r1 * (1 - phi2)
-    extra[43] = phi1
-    extra[44] = phi2
-    extra[45] = phi2  # pacf_lag2 (same quantity, kept under its own name)
+@_group("mean_abs_max_7")
+def _top_abs(p: TsfreshPanel) -> tuple:
+    k_top = min(7, p.T)
+    return (np.mean(np.sort(p.abs, axis=0)[-k_top:], axis=0),)  # mean of 7 largest |x|
 
-    # spectral shape: central moments of the normalized PSD over frequency
-    centroid = extra[5]
-    fdev = freqs[:, None] - centroid[None, :]
-    psd_norm = psd / safe_power
-    m2 = np.sum(psd_norm * fdev**2, axis=0)
-    safe_m2 = np.where(m2 > 1e-18, m2, 1.0)
-    extra[46] = m2
-    extra[47] = np.where(
-        m2 > 1e-18, np.sum(psd_norm * fdev**3, axis=0) / safe_m2**1.5, 0.0
-    )
-    extra[48] = np.where(
-        m2 > 1e-18, np.sum(psd_norm * fdev**4, axis=0) / safe_m2**2, 0.0
+
+@_group("range_count_1sigma", "variance_gt_std")
+def _sigma(p: TsfreshPanel) -> tuple:
+    sd = p.sd
+    return (
+        np.mean(np.abs(p.centered) <= sd, axis=0),  # range_count ±1σ
+        (sd**2 > sd).astype(float),  # variance larger than std
     )
 
-    # order statistics / level-crossing families
-    k_top = min(7, T)
-    extra[49] = np.mean(
-        np.sort(np.abs(X), axis=0)[-k_top:], axis=0
-    )  # mean of 7 largest |x|
-    sign_med = np.sign(X - med)
-    extra[50] = np.sum(np.abs(np.diff(sign_med, axis=0)) > 1, axis=0)
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    extra[51] = np.mean(np.abs(X - mu) <= sd, axis=0)  # range_count ±1σ
-    extra[52] = (sd**2 > sd).astype(float)  # variance larger than std
-    extra[53] = 1.0 - n_unique / T  # fraction of reoccurring points
-    extra[54] = q40
-    extra[55] = q60
 
-    # higher-lag nonlinearity
-    extra[56] = np.mean(X[4:] * X[2:-2] * X[:-4], axis=0)  # c3, lag 2
-    extra[57] = np.mean(X[4:] ** 2 * X[2:-2] - X[2:-2] * X[:-4] ** 2, axis=0)
+TSFRESH_GROUPS: tuple[StatGroup, ...] = MVTS_GROUPS + tuple(_groups)
 
-    # peak counts at other supports
-    for slot, support_k in ((58, 1), (59, 5)):
-        if T <= 2 * support_k:
-            extra[slot] = 0.0
-            continue
-        pk = np.ones((T - 2 * support_k, M), dtype=bool)
-        center_k = X[support_k : T - support_k]
-        for off in range(1, support_k + 1):
-            pk &= center_k > X[support_k - off : T - support_k - off]
-            pk &= center_k > X[support_k + off : T - support_k + off]
-        extra[slot] = pk.sum(axis=0)
+assert sorted(s for g in TSFRESH_GROUPS for s in g.slots) == list(range(112))
 
-    # where the extreme regime lives in time
-    above = X > q90
-    any_above = above.any(axis=0)
-    first = np.argmax(above, axis=0) / T
-    last = (T - 1 - np.argmax(above[::-1], axis=0)) / T
-    extra[60] = np.where(any_above, first, 1.0)
-    extra[61] = np.where(any_above, last, 0.0)
 
-    extra[62] = np.sum(np.abs(diffs), axis=0)
-    extra[63] = np.sqrt(np.sum(diffs**2, axis=0))  # unnormalized CID
+def extract_tsfresh(X: np.ndarray, plan: GroupPlan | None = None) -> np.ndarray:
+    """Compute the 112 TSFRESH-lite features per column of a (T, M) matrix.
 
-    return np.hstack([base, extra.T]).ravel()
+    Returns a flat ``(M * 112,)`` vector, metric-major, ordered per
+    :data:`TSFRESH_FEATURE_NAMES`. Because the layout is column-major a
+    ``(T, B*M)`` panel of B equal-length runs yields ``(B*M*112,)``, which
+    reshapes to one ``(B, M*112)`` feature row per run. ``plan`` names,
+    for each group of :data:`TSFRESH_GROUPS`, the columns it runs on (see
+    :func:`~repro.features.mvts.extract_groups`); cells left out are NaN.
+    """
+    X = checked_panel(X, 8)
+    return extract_groups(X, TSFRESH_GROUPS, TsfreshPanel, plan).T.ravel()
 
 
 def feature_names_for(metric_names: list[str]) -> list[str]:

@@ -13,7 +13,6 @@ LR is also the supervised head of the Proctor baseline
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .base import (
     BaseEstimator,
@@ -85,6 +84,9 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
             loss += 0.5 * lam * np.sum(W * W)
             gW = gW + lam * W
             return loss, np.concatenate([gW.ravel(), gb])
+
+        # imported here: scipy is costly to import, and only L2 fits need it
+        from scipy.optimize import minimize
 
         theta0 = np.zeros(m * k + k)
         res = minimize(

@@ -140,7 +140,9 @@ class RunCorpus:
         """
         columns = np.asarray(columns, dtype=np.int64)
         return RunCorpus(
-            buffer=self.buffer[:, columns],
+            # np.take keeps the buffer C-ordered; buffer[:, columns] would
+            # be F-ordered, and numpy sums F-ordered panels pairwise
+            buffer=np.take(self.buffer, columns, axis=1),
             offsets=self.offsets,
             apps=self.apps,
             input_decks=self.input_decks,

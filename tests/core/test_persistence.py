@@ -118,6 +118,28 @@ class TestFrameworksSavedWithTransportOption:
         assert np.array_equal(twin.predict_proba(X), fresh.predict_proba(X))
 
 
+class TestFrameworksSavedWithNameTable:
+    """Frameworks saved while the extractor stored every raw feature name
+    load and featurize as before; the names are now derived on demand."""
+
+    def test_load_featurize_names(self, small_framework, tmp_path):
+        from repro.features.mvts import feature_names_for
+
+        fw, pool = small_framework
+        names = feature_names_for(fw.catalog.names)
+        old = pickle.loads(pickle.dumps(fw))
+        old.extractor.__dict__["_all_names"] = names
+        restored = load_framework(save_framework(old, tmp_path / "old.pkl"))
+        assert "_all_names" not in vars(restored.extractor)
+        assert "_all_names" not in vars(fw.extractor)
+
+        assert np.array_equal(restored.featurize(pool), fw.featurize(pool))
+        assert restored.diagnose(pool) == fw.diagnose(pool)
+        kept = np.flatnonzero(fw.extractor.keep_mask_)
+        assert restored.extractor.transform(pool).feature_names == [names[i] for i in kept]
+        assert restored.extractor.n_features_raw == len(names)
+
+
 class TestManifestHelpers:
     def test_manifest_is_json_serializable(self, small_framework):
         import json

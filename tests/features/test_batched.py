@@ -10,6 +10,7 @@ counter-mask alignment, and the process pool at n_jobs ∈ {1, 2, 4}.
 import numpy as np
 import pytest
 
+from repro.features import mvts, tsfresh_lite
 from repro.features.mvts import extract_mvts
 from repro.features.pipeline import (
     FeatureExtractor,
@@ -26,6 +27,7 @@ from repro.telemetry.corpus import (
 )
 
 _EXTRACT = {"mvts": extract_mvts, "tsfresh": extract_tsfresh}
+_NAMES = {"mvts": mvts.feature_names_for, "tsfresh": tsfresh_lite.feature_names_for}
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +321,7 @@ class TestColumnPlan:
         fe.fit_transform(records)
         full = fe.transform(records)
         assert full.feature_names == [
-            n for n, keep in zip(fe._all_names, fe.keep_mask_) if keep
+            n for n, keep in zip(_NAMES[method](catalog.names), fe.keep_mask_) if keep
         ]
         support = np.array([0, 7, len(full.feature_names) - 1])
         plan = fe.plan(support)
