@@ -17,7 +17,7 @@ from repro.datasets.splits import (
     make_standard_split,
     prepare,
 )
-from repro.experiments import CACHE_DIR, K_FEATURES, OUT_DIR, bench_dataset
+from repro.experiments import K_FEATURES, OUT_DIR, bench_dataset
 
 
 def make_preps(
@@ -33,7 +33,6 @@ def make_preps(
         prepare(
             make_standard_split(ds, rng=split_id, **(split_kwargs or {})),
             k_features=k_features,
-            selection_cache=CACHE_DIR,
         )
         for split_id in range(n_splits)
     ]

@@ -236,7 +236,6 @@ def make_input_holdout_split(
 def prepare(
     bundle: SplitBundle,
     k_features: int = 500,
-    selection_cache: "str | None" = None,
 ) -> PreparedSplit:
     """Scale + select features within a split (test set withheld from fits).
 
@@ -244,22 +243,11 @@ def prepare(
     training portion (seed ∪ pool, using the pool's ground-truth labels —
     the same offline-calibration convention the paper uses when sweeping
     the feature count), then applied to seed, pool, and test alike.
-
-    ``selection_cache`` names a directory for
-    :func:`repro.experiments.cache.cached_selection`: the chi-square fit
-    is content-addressed by (scaled training matrix, labels, k), so
-    repeated preparations of the same split replicate — e.g. several
-    benches sharing one corpus — pay for the selector once.
     """
     train = bundle.train
     scaler = MinMaxScaler(clip=True).fit(train.X)
     scaled = scaler.transform(train.X)
-    if selection_cache is not None:
-        from ..experiments.cache import cached_selection
-
-        selector = cached_selection(scaled, train.labels, k_features, selection_cache)
-    else:
-        selector = SelectKBest(k=k_features).fit(scaled, train.labels)
+    selector = SelectKBest(k=k_features).fit(scaled, train.labels)
 
     def _prep(X: np.ndarray) -> np.ndarray:
         return selector.transform(scaler.transform(X))

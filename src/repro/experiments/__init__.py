@@ -12,7 +12,6 @@ from .analysis import (
     query_efficiency,
 )
 from .cache import (
-    cached_selection,
     config_fingerprint,
     dataset_fingerprint,
     get_or_build,
@@ -73,7 +72,6 @@ __all__ = [
     "bench_dataset",
     "bench_eclipse_config",
     "bench_volta_config",
-    "cached_selection",
     "config_fingerprint",
     "curve_table",
     "dataset_fingerprint",

@@ -19,10 +19,6 @@ Three layers of integrity:
 * **atomic writes** — snapshots and the manifest are written to a
   temporary file and ``os.replace``d into place, so concurrent benches
   sharing one cache directory never observe a half-written entry.
-
-:func:`cached_selection` extends the same discipline to the chi-square
-feature-selection stage: the selector's scores and support are cached
-keyed by (fingerprint of the fitted data, k).
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from ..features.pipeline import FeatureDataset
-from ..mlcore.feature_selection import SelectKBest
 
 __all__ = [
     "save_dataset",
@@ -46,7 +41,6 @@ __all__ = [
     "get_or_build",
     "dataset_fingerprint",
     "config_fingerprint",
-    "cached_selection",
 ]
 
 _META_KEYS = ("labels", "apps", "input_decks", "intensities", "node_counts")
@@ -217,55 +211,3 @@ def _manifest_entry(ds: FeatureDataset, fingerprint: str) -> dict:
         "fingerprint": fingerprint,
         "format": _FORMAT_VERSION,
     }
-
-
-# ----------------------------------------------------------------------
-# cached chi-square selection
-
-def cached_selection(
-    X: np.ndarray,
-    y: np.ndarray,
-    k: int,
-    cache_dir: str | Path,
-) -> SelectKBest:
-    """A fitted :class:`SelectKBest`, loaded from cache when possible.
-
-    The key is the fingerprint of the exact ``(X, y)`` the selector is
-    fit on plus ``k`` — two splits that scale to the same training matrix
-    share the entry; any change to the data misses. Scores and support
-    are cached together so the restored selector is indistinguishable
-    from a freshly fit one. Writes are atomic like the dataset snapshots.
-    """
-    cache_dir = Path(cache_dir)
-    h = hashlib.sha256()
-    _hash_array(h, X)
-    _hash_array(h, np.asarray(y))
-    h.update(str(int(k)).encode())
-    path = cache_dir / f"chi2-{h.hexdigest()[:24]}.npz"
-    if path.exists():
-        try:
-            with np.load(path) as data:
-                support = data["support"]
-                scores = data["scores"]
-            if (
-                len(scores) == X.shape[1]
-                and len(support) == min(k, X.shape[1])
-                and (len(support) == 0 or support.max() < X.shape[1])
-            ):
-                selector = SelectKBest(k=k)
-                selector.scores_ = scores
-                selector.support_ = support
-                selector.n_features_in_ = X.shape[1]
-                return selector
-        except Exception as exc:
-            _LOG.warning("corrupt selector cache %s (%s); refitting", path, exc)
-        path.unlink()
-    selector = SelectKBest(k=k).fit(X, y)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_replace(
-        path,
-        lambda tmp: np.savez(
-            tmp, support=selector.support_, scores=selector.scores_
-        ),
-    )
-    return selector

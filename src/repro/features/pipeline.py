@@ -269,7 +269,6 @@ def _featurize_runs(
     counter_mask: np.ndarray,
     trim_frac: tuple[float, float],
     method: str,
-    max_panel_elems: int,
     groups: tuple[np.ndarray, ...] | None,
     runs: range,
     buffer: np.ndarray,
@@ -284,7 +283,7 @@ def _featurize_runs(
     """
     return batched_feature_rows(
         buffer, offsets[runs.start:runs.stop + 1], counter_mask, trim_frac,
-        method, max_panel_elems, groups,
+        method, groups=groups,
     )
 
 
@@ -327,10 +326,10 @@ class FeatureExtractor:
     n_jobs:
         Workers for block-wise extraction; ``None`` or 1 keeps
         extraction serial and in-process.
-    max_panel_elems:
-        Cap on ``T * B * M`` elements per batched-extraction panel
-        (:func:`~repro.telemetry.corpus.plan_length_groups`); bounds peak
-        memory without changing a single output bit.
+
+    Each batched-extraction panel holds at most ``DEFAULT_MAX_PANEL_ELEMS``
+    elements (:func:`~repro.telemetry.corpus.plan_length_groups`), which
+    bounds peak memory without changing a single output bit.
     """
 
     def __init__(
@@ -339,7 +338,6 @@ class FeatureExtractor:
         method: str = "mvts",
         trim_frac: tuple[float, float] = (0.08, 0.06),
         n_jobs: int | None = None,
-        max_panel_elems: int = DEFAULT_MAX_PANEL_ELEMS,
     ):
         if method not in _EXTRACTORS:
             raise ValueError(
@@ -349,17 +347,19 @@ class FeatureExtractor:
         self.method = method
         self.trim_frac = trim_frac
         self.n_jobs = n_jobs
-        self.max_panel_elems = max_panel_elems
         self.keep_mask_: np.ndarray | None = None
 
     def __setstate__(self, state: dict) -> None:
         # extractors pickled before the parallel data plane lack its knobs
         state.setdefault("n_jobs", None)
-        state.setdefault("max_panel_elems", DEFAULT_MAX_PANEL_ELEMS)
         # extractors pickled with removed options carry their keys: a
-        # private pool, the per-run hook, the transport choice and the
-        # feature-name table, now derived on demand
-        for key in ("_executor", "map_fn", "_extract", "backend", "_all_names"):
+        # private pool, the per-run hook, the transport choice, the
+        # feature-name table (now derived on demand) and the panel cap
+        # (now a constant)
+        for key in (
+            "_executor", "map_fn", "_extract", "backend", "_all_names",
+            "max_panel_elems",
+        ):
             state.pop(key, None)
         self.__dict__.update(state)
 
@@ -371,8 +371,7 @@ class FeatureExtractor:
         groups: tuple[np.ndarray, ...] | None,
     ) -> np.ndarray:
         worker = partial(
-            _featurize_runs, counter_mask, self.trim_frac, self.method,
-            self.max_panel_elems, groups,
+            _featurize_runs, counter_mask, self.trim_frac, self.method, groups
         )
         parts = map_blocks(
             worker, range(len(corpus)), (corpus.buffer, corpus.offsets), self.n_jobs

@@ -1,14 +1,6 @@
 """repro.parallel — the one way work crosses into workers (pool, shared memory)."""
 
-from .executor import (
-    Executor,
-    close_shared_executors,
-    default_workers,
-    effective_cpu_count,
-    map_blocks,
-    shared_executor,
-)
-from .partition import block_partition, chunk_sizes
+from .executor import close_shared_executors, effective_cpu_count, map_blocks
 from .shm import (
     SHM_PREFIX,
     AttachedArray,
@@ -19,16 +11,11 @@ from .shm import (
 
 __all__ = [
     "AttachedArray",
-    "Executor",
     "SHM_PREFIX",
     "SharedArray",
     "SharedArrayHandle",
     "active_segments",
-    "block_partition",
-    "chunk_sizes",
     "close_shared_executors",
-    "default_workers",
     "effective_cpu_count",
     "map_blocks",
-    "shared_executor",
 ]

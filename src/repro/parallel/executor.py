@@ -26,45 +26,41 @@ Where the work runs is decided here, from what this module can observe:
 Which way a call went never changes its result: every caller's blocks
 are independent, so outputs are bit-identical at any ``n_jobs``.
 
-The pool itself is :class:`Executor`: a chunked, order-preserving map
-over a lazily started ``ProcessPoolExecutor`` that is *reused* by every
-later call. :func:`shared_executor` keeps one warm pool per worker count
-for the whole process, so a campaign's generate → featurize → fit stages
-and every active-learning refit reuse the same workers.
-
-``map`` and ``close`` serialize on an internal lock: closing an executor
-from another thread (or a ``__del__`` racing a map) waits for the
-in-flight map to finish instead of surfacing ``BrokenProcessPool``.
+A fan-out sends one task per block to a ``ProcessPoolExecutor`` that
+this module starts on the first fan-out at a worker count and reuses for
+every later one, so a campaign's generate → featurize → fit stages and
+every active-learning refit share the same workers. The worker function
+is pickled once per call and travels with each task as bytes. A pool
+whose worker died is dropped when its map raises ``BrokenProcessPool``,
+so the next fan-out starts a fresh one. :func:`close_shared_executors`
+shuts the pools down (at exit, too) and waits for an in-flight fan-out
+to finish first.
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
 import os
 import pickle
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
-from functools import partial
-from typing import Callable, Iterable, Sequence, TypeVar
+from itertools import repeat
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .partition import block_partition, chunk_sizes
 from .shm import SharedArray, SharedArrayHandle
 
 __all__ = [
-    "Executor",
+    "chunk_sizes",
     "close_shared_executors",
-    "default_workers",
     "effective_cpu_count",
     "map_blocks",
-    "shared_executor",
 ]
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 # Blocks per worker when work fans out: several per worker balance
@@ -106,191 +102,58 @@ def effective_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def default_workers() -> int:
-    """A sensible worker count: available parallelism minus one, at least 1."""
-    return max(1, effective_cpu_count() - 1)
+def chunk_sizes(n_items: int, n_parts: int) -> list[int]:
+    """Sizes of ``n_parts`` contiguous blocks covering ``n_items`` items.
 
-
-# ---------------------------------------------------------------------------
-# worker-side function cache
-#
-# Mapping ``fn`` over chunks with a plain ``pool.map`` pickles it once per
-# chunk; when fn carries an object graph it drags it through pickle every
-# time. Instead the parent pickles fn once per map call and
-# workers unpickle it once each, keyed by digest. The pool initializer
-# pre-seeds the first function so the warm-pool steady state (same fn every
-# refit) ships the function exactly once per pool.
-
-_FN_CACHE: dict[bytes, Callable] = {}
-
-
-def _seed_fn_cache(digest: bytes, payload: bytes) -> None:
-    _FN_CACHE[digest] = pickle.loads(payload)
-
-
-def _run_cached_chunk(
-    digest: bytes, payload: bytes, items: Sequence[T]
-) -> list[R]:
-    fn = _FN_CACHE.get(digest)
-    if fn is None:
-        fn = pickle.loads(payload)
-        _FN_CACHE[digest] = fn
-    return [fn(item) for item in items]
-
-
-class Executor:
-    """Chunked, order-preserving parallel map over a reusable process pool.
-
-    Parameters
-    ----------
-    n_workers:
-        Worker count; ``<= 1`` runs serially in-process (no pool, no
-        pickling — exact same results, easier debugging).
-    chunks_per_worker:
-        Number of chunks each worker receives; >1 improves load balance
-        when per-item cost varies.
+    The first ``n_items % n_parts`` blocks get one extra item, so blocks
+    are balanced to within one item.
     """
-
-    def __init__(self, n_workers: int | None = None, chunks_per_worker: int = 4):
-        if chunks_per_worker < 1:
-            raise ValueError(f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
-        self.n_workers = default_workers() if n_workers is None else max(1, n_workers)
-        self.chunks_per_worker = chunks_per_worker
-        self._pool: ProcessPoolExecutor | None = None
-        self._seeded_digest: bytes | None = None
-        self._lock = threading.RLock()
-
-    def _ensure_pool(self, digest: bytes, payload: bytes) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # start the resource tracker BEFORE forking workers: a worker
-            # forked while no tracker exists spawns its own private one on
-            # first SharedMemory attach, whose ledger nobody ever cleans —
-            # it then warns about "leaked" segments the parent unlinked
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-            # seed every worker with the first map function at spawn:
-            # later maps of the same fn send only its digest
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_seed_fn_cache,
-                initargs=(digest, payload),
-            )
-            self._seeded_digest = digest
-        return self._pool
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """Apply ``fn`` to every item, preserving input order.
-
-        ``fn`` and the items must be picklable when ``n_workers > 1``
-        (module-level functions or picklable callables; no lambdas). The
-        serial path (``n_workers <= 1`` or a single item) carries no such
-        restriction and is byte-identical to a plain list comprehension.
-        """
-        items = list(items)
-        if not items:
-            return []
-        if self.n_workers <= 1 or len(items) == 1:
-            return [fn(item) for item in items]
-        n_chunks = min(len(items), self.n_workers * self.chunks_per_worker)
-        chunks = [
-            [items[i] for i in idx]
-            for idx in block_partition(len(items), n_chunks)
-            if len(idx)
-        ]
-        with self._lock:
-            payload = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(payload).digest()
-            pool = self._ensure_pool(digest, payload)
-            if digest == self._seeded_digest:
-                # every worker was born with this fn: ship digest only
-                payloads: list[bytes] = [b""] * len(chunks)
-            else:
-                payloads = [payload] * len(chunks)
-            chunk_results = list(
-                pool.map(_run_cached_chunk, [digest] * len(chunks), payloads, chunks)
-            )
-        return [r for chunk in chunk_results for r in chunk]
-
-    def __getstate__(self) -> dict:
-        # a live pool holds locks and OS handles; callers pickle objects
-        # that reference their executor (e.g. a bound Executor.map), so ship the
-        # configuration only — the copy restarts its pool lazily
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        state["_seeded_digest"] = None
-        state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    def close(self) -> None:
-        """Shut the worker pool down; safe to call twice or never.
-
-        Serialized against ``map``: a close racing an in-flight map waits
-        for the map to complete rather than breaking the pool under it.
-        A later ``map`` lazily starts a fresh pool, so a closed executor
-        stays usable.
-        """
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-                self._seeded_digest = None
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.close()
-        return False
-
-    def __del__(self):  # best-effort: never leak worker processes
-        try:
-            if getattr(self, "_lock", None) is not None:
-                self.close()
-        except Exception:  # repro-lint: disable=EH001 -- interpreter may be tearing down; logging here can itself raise
-            pass
+    if n_parts < 1:
+        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
+    if n_items < 0:
+        raise ValueError(f"n_items must be >= 0, got {n_items}")
+    base, extra = divmod(n_items, n_parts)
+    return [base + (1 if p < extra else 0) for p in range(n_parts)]
 
 
 # ---------------------------------------------------------------------------
 # process-wide warm pools
 #
-# A campaign touches the executor from several layers (grid generation,
-# feature extraction, forest fitting). Giving each layer its own pool pays
-# spawn/teardown at every stage boundary; sharing one pool per worker
-# count keeps the workers — and their function caches — warm across the
-# whole generate → featurize → fit sequence.
+# One pool per worker count, started by the first fan-out at that count
+# and reused by every later one, so a campaign's generate -> featurize ->
+# fit stages and every active-learning refit share the same workers.
+# A fan-out holds the lock for its whole map: closing waits for it
+# instead of breaking the pool under it.
 
-_SHARED_LOCK = threading.Lock()
-_SHARED: dict[int, Executor] = {}
+_POOLS_LOCK = threading.Lock()
+_POOLS: dict[int, ProcessPoolExecutor] = {}
 
 
-def shared_executor(n_workers: int) -> Executor:
-    """The process-wide warm executor with ``n_workers`` workers.
+def _pool(n_workers: int) -> ProcessPoolExecutor:
+    """The warm pool with ``n_workers`` workers; caller holds the lock."""
+    pool = _POOLS.get(n_workers)
+    if pool is None:
+        # start the resource tracker BEFORE forking workers: a worker
+        # forked while no tracker exists spawns its own private one on
+        # first SharedMemory attach, whose ledger nobody ever cleans -
+        # it then warns about "leaked" segments the parent unlinked
+        from multiprocessing import resource_tracker
 
-    Callers must **not** close the returned executor (closing it is
-    harmless — it restarts lazily — but throws the warmth away);
-    :func:`close_shared_executors` runs at interpreter exit.
-    """
-    n_workers = max(1, int(n_workers))
-    with _SHARED_LOCK:
-        ex = _SHARED.get(n_workers)
-        if ex is None:
-            ex = Executor(n_workers=n_workers, chunks_per_worker=_BLOCKS_PER_WORKER)
-            _SHARED[n_workers] = ex
-        return ex
+        resource_tracker.ensure_running()
+        pool = _POOLS[n_workers] = ProcessPoolExecutor(max_workers=n_workers)
+    return pool
 
 
 def close_shared_executors() -> None:
-    """Shut down every process-wide pool (idempotent; used at exit)."""
-    with _SHARED_LOCK:
-        executors = list(_SHARED.values())
-        _SHARED.clear()
-    for ex in executors:
-        ex.close()
+    """Shut down every warm pool (idempotent; runs at exit).
+
+    Waits for an in-flight fan-out to finish; the next fan-out starts a
+    fresh pool.
+    """
+    with _POOLS_LOCK:
+        for pool in _POOLS.values():
+            pool.shutdown(wait=True)
+        _POOLS.clear()
 
 
 atexit.register(close_shared_executors)
@@ -301,10 +164,11 @@ atexit.register(close_shared_executors)
 
 
 def _run_block(
-    fn: Callable, task: tuple[tuple[SharedArrayHandle | None, ...], Sequence]
+    payload: bytes, handles: tuple[SharedArrayHandle | None, ...], block: Sequence
 ) -> tuple[object, float]:
-    """Worker body: attach the segments, run one block, time it, detach."""
-    handles, block = task
+    """Worker body: load the function, attach the segments, run one block
+    and time it, detach."""
+    fn = pickle.loads(payload)
     with ExitStack() as stack:
         arrays = [
             None if h is None else stack.enter_context(h.open()).array
@@ -382,13 +246,21 @@ def map_blocks(
         if size:
             blocks.append(rest[lo:lo + size])
             lo += size
+    payload = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
     with ExitStack() as stack:
         handles = tuple(
             None if a is None else stack.enter_context(SharedArray(a)).handle
             for a in arrays
         )
-        timed = shared_executor(n_workers).map(
-            partial(_run_block, fn), [(handles, block) for block in blocks]
-        )
+        with _POOLS_LOCK:
+            pool = _pool(n_workers)
+            try:
+                timed = list(pool.map(_run_block, repeat(payload), repeat(handles), blocks))
+            except BrokenProcessPool:
+                # a worker died (an OOM kill, os._exit): the pool can run
+                # no further task, so the next fan-out starts a fresh one
+                del _POOLS[n_workers]
+                pool.shutdown(wait=True)
+                raise
     _SECONDS_PER_ITEM[key] = sum(t for _, t in timed) / len(rest)
     return out + [block_out for block_out, _ in timed]

@@ -140,6 +140,28 @@ class TestFrameworksSavedWithNameTable:
         assert restored.extractor.n_features_raw == len(names)
 
 
+class TestFrameworksSavedWithPanelCap:
+    """Frameworks saved while the extractor stored its panel cap
+    (``max_panel_elems``) load and featurize bitwise-equal; the cap is
+    now a constant."""
+
+    def test_load_featurize(self, small_framework, tmp_path):
+        from repro.telemetry.corpus import DEFAULT_MAX_PANEL_ELEMS
+
+        fw, pool = small_framework
+        old = pickle.loads(pickle.dumps(fw))
+        old.extractor.__dict__["max_panel_elems"] = DEFAULT_MAX_PANEL_ELEMS
+        restored = load_framework(save_framework(old, tmp_path / "old.pkl"))
+        assert "max_panel_elems" not in vars(restored.extractor)
+        assert "max_panel_elems" not in vars(fw.extractor)
+
+        assert np.array_equal(restored.featurize(pool), fw.featurize(pool))
+        assert np.array_equal(
+            restored.extractor.transform(pool).X, fw.extractor.transform(pool).X
+        )
+        assert restored.diagnose(pool) == fw.diagnose(pool)
+
+
 class TestManifestHelpers:
     def test_manifest_is_json_serializable(self, small_framework):
         import json

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.cache import (
-    cached_selection,
     config_fingerprint,
     dataset_fingerprint,
     get_or_build,
@@ -14,7 +13,6 @@ from repro.experiments.cache import (
     save_dataset,
 )
 from repro.features.pipeline import FeatureDataset
-from repro.mlcore.feature_selection import SelectKBest
 
 
 def _dataset(n=6):
@@ -127,43 +125,3 @@ class TestConfigFingerprint:
 
         other = dataclasses.replace(tiny_config, duration=tiny_config.duration + 32)
         assert config_fingerprint(tiny_config) != config_fingerprint(other)
-
-
-class TestCachedSelection:
-    def _problem(self, n=40, m=10, k=4):
-        rng = np.random.default_rng(0)
-        X = np.abs(rng.normal(size=(n, m)))
-        y = np.array(["a", "b", "c", "d"] * (n // 4))
-        return X, y, k
-
-    def test_matches_direct_fit(self, tmp_path):
-        X, y, k = self._problem()
-        cached = cached_selection(X, y, k, tmp_path)
-        direct = SelectKBest(k=k).fit(X, y)
-        assert np.array_equal(cached.support_, direct.support_)
-        assert np.array_equal(cached.scores_, direct.scores_)
-        assert np.array_equal(cached.transform(X), direct.transform(X))
-
-    def test_second_call_hits_cache(self, tmp_path):
-        X, y, k = self._problem()
-        cached_selection(X, y, k, tmp_path)
-        entries = list(tmp_path.glob("chi2-*.npz"))
-        assert len(entries) == 1
-        again = cached_selection(X, y, k, tmp_path)
-        assert list(tmp_path.glob("chi2-*.npz")) == entries
-        assert np.array_equal(again.support_, SelectKBest(k=k).fit(X, y).support_)
-
-    def test_key_distinguishes_k_and_data(self, tmp_path):
-        X, y, k = self._problem()
-        cached_selection(X, y, k, tmp_path)
-        cached_selection(X, y, k + 1, tmp_path)
-        cached_selection(X + 1.0, y, k, tmp_path)
-        assert len(list(tmp_path.glob("chi2-*.npz"))) == 3
-
-    def test_corrupt_entry_refit(self, tmp_path):
-        X, y, k = self._problem()
-        cached_selection(X, y, k, tmp_path)
-        entry = next(tmp_path.glob("chi2-*.npz"))
-        entry.write_bytes(b"junk")
-        again = cached_selection(X, y, k, tmp_path)
-        assert np.array_equal(again.support_, SelectKBest(k=k).fit(X, y).support_)

@@ -109,3 +109,29 @@ class TestRunMethods:
             model_params={"n_estimators": 4},
         )
         assert len(result.runs["random"]) == 2
+
+
+class TestRunMethodsFanOut:
+    """The (method x split) grid gives the same curves and query logs
+    whether it runs in-process or over the warm process pool."""
+
+    def test_n_jobs_parity(self, volta_mini, fan_out):
+        _, ds, _ = volta_mini
+        preps = [
+            prepare(make_standard_split(ds, rng=r), k_features=80)
+            for r in range(2)
+        ]
+        kwargs = dict(
+            methods=("uncertainty", "random"), n_queries=3,
+            model_params={"n_estimators": 4}, base_seed=5,
+        )
+        serial = run_methods(preps, n_workers=1, **kwargs)
+        fanned = run_methods(preps, n_workers=2, **kwargs)
+        for method in kwargs["methods"]:
+            assert len(fanned.runs[method]) == len(serial.runs[method]) == 2
+            for a, b in zip(serial.runs[method], fanned.runs[method]):
+                for curve in ("n_labeled", "f1", "far", "amr"):
+                    assert np.array_equal(getattr(a, curve), getattr(b, curve))
+                assert a.oracle.history == b.oracle.history
+                assert a.queried_labels == b.queried_labels
+                assert a.queried_apps == b.queried_apps

@@ -1,74 +1,99 @@
-"""Tests for the process-pool executor and the map every n_jobs caller uses."""
+"""Tests for map_blocks, the map every n_jobs caller uses, and its warm pools."""
 
 import os
-import pickle
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.parallel.executor import (
-    Executor,
+import repro.parallel.executor as executor_mod
+from repro.parallel import (
+    active_segments,
     close_shared_executors,
-    default_workers,
     effective_cpu_count,
-    shared_executor,
+    map_blocks,
 )
 
 
-def _square(x):
-    return x * x
+@pytest.fixture
+def fresh_timings(monkeypatch):
+    timings: dict = {}
+    monkeypatch.setattr(executor_mod, "_SECONDS_PER_ITEM", timings)
+    return timings
 
 
-def _whoami(_):
-    return os.getpid()
+@pytest.fixture
+def no_pool(monkeypatch):
+    def _explode(*args, **kwargs):
+        raise AssertionError("this map must stay in-process")
+
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", _explode)
+
+
+@pytest.fixture
+def pools():
+    """The live warm pools, starting from none."""
+    close_shared_executors()
+    yield executor_mod._POOLS
+    close_shared_executors()
+
+
+def _squares(block):
+    return [x * x for x in block]
+
+
+def _cubes(block):
+    return [x ** 3 for x in block]
+
+
+def _whoami(block):
+    return [os.getpid() for _ in block]
+
+
+def _joined(parts):
+    return [x for part in parts for x in part]
 
 
 class TestSerialPath:
-    def test_n_workers_one_runs_inline(self):
-        ex = Executor(n_workers=1)
-        assert ex.map(_square, range(5)) == [0, 1, 4, 9, 16]
+    """Calls that never reach a pool, even with the pool forced on."""
 
-    def test_empty_input(self):
-        assert Executor(n_workers=1).map(_square, []) == []
+    def test_n_workers_one_runs_inline(self, fan_out, no_pool):
+        assert map_blocks(_squares, range(5), n_jobs=1) == [[0, 1, 4, 9, 16]]
 
-    def test_single_item_runs_inline(self):
-        ex = Executor(n_workers=4)
-        assert ex.map(_square, [3]) == [9]
+    def test_empty_input(self, fan_out, no_pool):
+        assert map_blocks(_squares, [], n_jobs=4) == [[]]
 
-    def test_lambda_ok_serially(self):
-        assert Executor(n_workers=1).map(lambda x: x + 1, [1, 2]) == [2, 3]
+    def test_single_item_runs_inline(self, fan_out, no_pool):
+        assert map_blocks(_squares, [3], n_jobs=4) == [[9]]
+
+    def test_lambda_ok_serially(self, no_pool):
+        parts = map_blocks(lambda b: [x + 1 for x in b], [1, 2], n_jobs=1)
+        assert parts == [[2, 3]]
 
 
 class TestParallelPath:
-    def test_results_ordered(self):
-        ex = Executor(n_workers=2)
-        assert ex.map(_square, range(40)) == [i * i for i in range(40)]
+    def test_results_ordered(self, fan_out):
+        parts = map_blocks(_squares, list(range(40)), n_jobs=2)
+        assert len(parts) > 1
+        assert _joined(parts) == [i * i for i in range(40)]
 
-    def test_work_runs_in_child_processes(self):
-        ex = Executor(n_workers=2, chunks_per_worker=2)
-        pids = set(ex.map(_whoami, range(16)))
-        # on a single-core box the pool may drain every chunk through one
+    def test_work_runs_in_child_processes(self, fan_out, fresh_timings):
+        fresh_timings[executor_mod._cost_key(_whoami, ())] = 1.0  # no probe
+        pids = set(_joined(map_blocks(_whoami, range(16), n_jobs=2)))
+        # on a single-core box the pool may drain every block through one
         # worker; what must hold is that no work ran in the parent
         assert pids and os.getpid() not in pids
 
-    def test_matches_serial_results(self):
-        serial = Executor(n_workers=1).map(_square, range(25))
-        parallel = Executor(n_workers=3).map(_square, range(25))
-        assert serial == parallel
+    def test_matches_serial_results(self, fan_out):
+        serial = map_blocks(_squares, range(25))
+        parallel = map_blocks(_squares, range(25), n_jobs=3)
+        assert _joined(parallel) == serial[0]
 
 
 class TestConfig:
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-    def test_invalid_chunks_per_worker(self):
-        with pytest.raises(ValueError, match="chunks_per_worker"):
-            Executor(chunks_per_worker=0)
-
-    def test_worker_floor(self):
-        assert Executor(n_workers=-3).n_workers == 1
+    def test_worker_floor(self, fan_out, no_pool):
+        assert map_blocks(_squares, range(4), n_jobs=-3) == [[0, 1, 4, 9]]
 
 
 class TestEffectiveCpuCount:
@@ -102,199 +127,166 @@ class TestEffectiveCpuCount:
         assert effective_cpu_count() == 1
 
 
-class TestDefaultWorkers:
-    """The engine's serving path leans on these defaults; pin them down."""
-
-    def test_leaves_one_core_free(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        assert default_workers() == 7
-
-    def test_single_core_mask_still_gets_one_worker(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert default_workers() == 1
-
-    def test_unknown_core_count_falls_back(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert default_workers() == 1
-
-    def test_none_n_workers_uses_default(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
-        assert Executor(n_workers=None).n_workers == 4
-
-
-def _slow_square(x):
-    time.sleep(0.02)
-    return x * x
+def _slow_squares(block):
+    time.sleep(0.02 * len(block))
+    return _squares(block)
 
 
 class TestCloseMapRace:
-    """Regression: close() racing an in-flight map must not break the pool.
+    """Regression: closing the pools under an in-flight map must not break it.
 
-    The old executor shut the pool down under a running ``pool.map``,
-    surfacing ``BrokenProcessPool`` from the mapping thread. ``map`` and
-    ``close`` now serialize on the executor lock: close waits for the
-    in-flight map, and a later map lazily restarts the pool.
+    Shutting a pool down under a running ``pool.map`` surfaces
+    ``BrokenProcessPool`` in the mapping thread. A fan-out holds the pool
+    lock for its whole map, so the close waits for it, and a later
+    fan-out starts a fresh pool.
     """
 
-    def test_close_waits_for_inflight_map(self):
-        ex = Executor(n_workers=2)
+    def test_close_waits_for_inflight_map(self, fan_out, fresh_timings, pools):
+        fresh_timings[executor_mod._cost_key(_slow_squares, ())] = 1.0
         results: list = []
         errors: list = []
 
         def _mapper():
             try:
-                results.append(ex.map(_slow_square, range(8)))
+                results.append(_joined(map_blocks(_slow_squares, range(8), n_jobs=2)))
             except Exception as exc:  # pragma: no cover - the regression
                 errors.append(exc)
 
         t = threading.Thread(target=_mapper)
         t.start()
-        time.sleep(0.05)  # let the map reach the pool
-        ex.close()
+        deadline = time.monotonic() + 30.0
+        while 2 not in pools and time.monotonic() < deadline:
+            time.sleep(0.005)  # wait for the map to reach its pool
+        close_shared_executors()
         t.join(timeout=30.0)
         assert not t.is_alive()
         assert errors == []
         assert results == [[i * i for i in range(8)]]
-        # the executor stays usable after the racing close
-        assert ex.map(_square, range(4)) == [0, 1, 4, 9]
-        ex.close()
+        # the next fan-out starts a fresh pool
+        assert _joined(map_blocks(_squares, range(4), n_jobs=2)) == [0, 1, 4, 9]
 
 
 class TestSharedExecutors:
-    def test_same_key_returns_same_instance(self):
-        a = shared_executor(2)
-        b = shared_executor(2)
-        assert a is b
+    def test_same_key_returns_same_instance(self, fan_out, pools):
+        map_blocks(_squares, range(8), n_jobs=2)
+        pool = pools[2]
+        assert _joined(map_blocks(_cubes, range(8), n_jobs=2)) == [
+            i ** 3 for i in range(8)
+        ]
+        assert pools[2] is pool
 
-    def test_distinct_keys_get_distinct_pools(self):
-        a = shared_executor(2)
-        b = shared_executor(3)
-        assert a is not b
+    def test_distinct_keys_get_distinct_pools(self, fan_out, pools):
+        map_blocks(_squares, range(8), n_jobs=2)
+        map_blocks(_squares, range(8), n_jobs=3)
+        assert set(pools) == {2, 3}
+        assert pools[2] is not pools[3]
 
-    def test_close_shared_executors_resets_registry(self):
-        a = shared_executor(2)
+    def test_close_shared_executors_resets_registry(self, fan_out, pools):
+        map_blocks(_squares, range(8), n_jobs=2)
+        pool = pools[2]
         close_shared_executors()
-        assert shared_executor(2) is not a
+        assert pools == {}
+        map_blocks(_squares, range(8), n_jobs=2)
+        assert pools[2] is not pool
 
 
 class TestSerialFallback:
-    """n_workers <= 1 must never touch a process pool."""
+    """Calls at n_jobs <= 1, or with one item, never touch a process pool."""
 
-    def test_zero_workers_runs_inline(self):
-        assert Executor(n_workers=0).map(_square, range(4)) == [0, 1, 4, 9]
+    def test_zero_workers_runs_inline(self, fan_out, no_pool):
+        assert map_blocks(_squares, range(4), n_jobs=0) == [[0, 1, 4, 9]]
 
-    def test_serial_path_avoids_pool(self, monkeypatch):
-        import repro.parallel.executor as executor_mod
+    def test_serial_path_avoids_pool(self, no_pool):
+        assert map_blocks(_squares, range(6)) == [[0, 1, 4, 9, 16, 25]]
 
-        def _explode(*args, **kwargs):
-            raise AssertionError("serial path must not build a process pool")
+    def test_single_item_avoids_pool_even_with_workers(self, fan_out, no_pool):
+        assert map_blocks(_squares, [7], n_jobs=8) == [[49]]
 
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", _explode)
-        assert Executor(n_workers=1).map(_square, range(6)) == [
-            0, 1, 4, 9, 16, 25,
-        ]
-
-    def test_single_item_avoids_pool_even_with_workers(self, monkeypatch):
-        import repro.parallel.executor as executor_mod
-
-        def _explode(*args, **kwargs):
-            raise AssertionError("single-item map must stay inline")
-
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", _explode)
-        assert Executor(n_workers=8).map(_square, [7]) == [49]
-
-    def test_unpicklable_fn_ok_serially(self):
-        results = Executor(n_workers=1).map(lambda x: x * 10, range(3))
-        assert results == [0, 10, 20]
-
-    def test_serial_preserves_generator_input(self):
-        assert Executor(n_workers=1).map(_square, (i for i in range(5))) == [
-            0, 1, 4, 9, 16,
-        ]
+    def test_unpicklable_fn_ok_serially(self, no_pool):
+        parts = map_blocks(lambda b: [x * 10 for x in b], range(3))
+        assert parts == [[0, 10, 20]]
 
 
 class TestPoolReuse:
-    def test_pool_persists_across_maps(self):
-        ex = Executor(n_workers=2)
-        try:
-            ex.map(_square, range(4))
-            pool1 = ex._pool
-            ex.map(_square, range(4))
-            assert ex._pool is pool1  # no spawn/teardown per map
-        finally:
-            ex.close()
+    def test_pool_persists_across_maps(self, fan_out, pools):
+        map_blocks(_squares, range(8), n_jobs=2)
+        pool = pools[2]
+        map_blocks(_squares, range(8), n_jobs=2)
+        assert pools[2] is pool  # no spawn/teardown per map
 
-    def test_lazy_start(self):
-        ex = Executor(n_workers=2)
-        assert ex._pool is None  # nothing spawned until first parallel map
-        ex.close()
+    def test_lazy_start(self, monkeypatch, fresh_timings, pools):
+        # two CPUs, but work far below the round trip: runs in-process
+        monkeypatch.setattr(executor_mod, "effective_cpu_count", lambda: 2)
+        map_blocks(_squares, range(8), n_jobs=2)
+        assert pools == {}  # nothing spawned until the first fan-out
 
-    def test_close_idempotent_and_restartable(self):
-        ex = Executor(n_workers=2)
-        assert ex.map(_square, range(4)) == [0, 1, 4, 9]
-        ex.close()
-        ex.close()  # second close is a no-op
-        assert ex._pool is None
-        # a closed executor lazily restarts on the next map
-        assert ex.map(_square, range(4)) == [0, 1, 4, 9]
-        ex.close()
+    def test_close_idempotent_and_restartable(self, fan_out, pools):
+        assert _joined(map_blocks(_squares, range(8), n_jobs=2))[:4] == [0, 1, 4, 9]
+        close_shared_executors()
+        close_shared_executors()  # second close is a no-op
+        assert pools == {}
+        # the next fan-out starts a fresh pool
+        assert _joined(map_blocks(_squares, range(8), n_jobs=2))[:4] == [0, 1, 4, 9]
+        assert 2 in pools
 
-    def test_context_manager_closes(self):
-        with Executor(n_workers=2) as ex:
-            assert ex.map(_square, range(4)) == [0, 1, 4, 9]
-            assert ex._pool is not None
-        assert ex._pool is None
+    def test_serial_executor_never_starts_a_pool(self, fan_out, pools):
+        map_blocks(_squares, range(10), n_jobs=1)
+        assert pools == {}
 
-    def test_serial_executor_never_starts_a_pool(self):
-        ex = Executor(n_workers=1)
-        ex.map(_square, range(10))
-        assert ex._pool is None
-
-    def test_executor_with_live_pool_is_picklable(self):
-        # objects that reference their executor (a bound Executor.map) get
-        # pickled into worker processes; the live pool must not ride along
-        ex = Executor(n_workers=2)
-        try:
-            ex.map(_square, range(4))  # starts the pool
-            clone = pickle.loads(pickle.dumps(ex))
-            assert clone._pool is None
-            assert clone.n_workers == 2
-            assert clone.map(_square, range(3)) == [0, 1, 4]
-            clone.close()
-        finally:
-            ex.close()
+    def test_different_fns_share_one_pool(self, fan_out, pools):
+        assert _joined(map_blocks(_squares, range(6), n_jobs=2)) == [
+            i * i for i in range(6)
+        ]
+        assert _joined(map_blocks(_cubes, range(6), n_jobs=2)) == [
+            i ** 3 for i in range(6)
+        ]
+        assert len(pools) == 1
 
 
-def _cube(x):
-    return x * x * x
+class _CountsPickles:
+    """A worker function that counts how often the parent pickles it."""
+
+    pickled = 0
+
+    def __call__(self, block):
+        return list(block)
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return (_CountsPickles, ())
 
 
-class TestWorkerFnCache:
-    """The map function ships once per pool, not once per chunk."""
+class TestWorkerFunction:
+    def test_pickled_once_per_call(self, fan_out):
+        _CountsPickles.pickled = 0
+        parts = map_blocks(_CountsPickles(), range(40), n_jobs=2)
+        assert len(parts) > 2  # several blocks went to the workers
+        assert _joined(parts) == list(range(40))
+        assert _CountsPickles.pickled == 1
 
-    def test_pool_is_seeded_with_first_fn(self):
-        with Executor(n_workers=2) as ex:
-            ex.map(_square, range(8))
-            assert ex._seeded_digest is not None
 
-    def test_same_fn_reuses_seeded_pool(self):
-        with Executor(n_workers=2) as ex:
-            ex.map(_square, range(8))
-            pool = ex._pool
-            assert ex.map(_square, range(8)) == [i * i for i in range(8)]
-            assert ex._pool is pool
+def _crash(block, data):
+    os._exit(13)  # hard kill: no finally blocks, no atexit
 
-    def test_different_fn_same_pool_still_correct(self):
-        with Executor(n_workers=2) as ex:
-            assert ex.map(_square, range(6)) == [i * i for i in range(6)]
-            assert ex.map(_cube, range(6)) == [i ** 3 for i in range(6)]
 
-    def test_seed_cleared_on_close(self):
-        ex = Executor(n_workers=2)
-        ex.map(_square, range(8))
-        ex.close()
-        assert ex._seeded_digest is None
+class TestBrokenPool:
+    """A worker that dies breaks its pool; the next fan-out must not
+    inherit the broken pool."""
+
+    def test_next_fan_out_after_a_crash_succeeds(self, fan_out, fresh_timings, pools):
+        from concurrent.futures.process import BrokenProcessPool
+
+        # a known cost: no in-process timing probe runs the crash here
+        fresh_timings[executor_mod._cost_key(_crash, (np.zeros((8, 2)),))] = 1.0
+        before = set(active_segments())
+        with pytest.raises(BrokenProcessPool):
+            map_blocks(_crash, range(8), (np.zeros((8, 2)),), n_jobs=2)
+        assert set(active_segments()) == before
+        assert 2 not in pools
+        # a different, healthy function at the same worker count
+        assert _joined(map_blocks(_squares, range(8), n_jobs=2)) == [
+            i * i for i in range(8)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -316,45 +308,19 @@ def _fail_on_seven(block, data):
     return list(block)
 
 
-@pytest.fixture
-def fresh_timings(monkeypatch):
-    import repro.parallel.executor as executor_mod
-
-    timings: dict = {}
-    monkeypatch.setattr(executor_mod, "_SECONDS_PER_ITEM", timings)
-    return timings
-
-
-@pytest.fixture
-def no_pool(monkeypatch):
-    import repro.parallel.executor as executor_mod
-
-    def _explode(*args, **kwargs):
-        raise AssertionError("this map must stay in-process")
-
-    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", _explode)
-
-
 class TestMapBlocksInProcess:
     @pytest.mark.parametrize("n_jobs", [None, 0, 1])
     def test_n_jobs_one_is_one_call(self, n_jobs, fresh_timings, no_pool):
-        from repro.parallel import map_blocks
-
         parts = map_blocks(_pids, range(10), n_jobs=n_jobs)
         assert parts == [[(os.getpid(), x) for x in range(10)]]
         assert fresh_timings == {}  # no timing on the n_jobs=1 path
 
     def test_one_cpu_mask_runs_in_process(self, monkeypatch, fresh_timings, no_pool):
-        from repro.parallel import map_blocks
-
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         parts = map_blocks(_pids, list(range(10)), n_jobs=8)
         assert parts == [[(os.getpid(), x) for x in range(10)]]
 
     def test_small_work_stays_in_process(self, monkeypatch, fresh_timings, no_pool):
-        import repro.parallel.executor as executor_mod
-        from repro.parallel import map_blocks
-
         monkeypatch.setattr(executor_mod, "effective_cpu_count", lambda: 4)
         items = list(range(40))
         # first call: the first block is timed, the rest runs as one block
@@ -369,22 +335,17 @@ class TestMapBlocksInProcess:
 
 class TestMapBlocksFanOut:
     def test_timed_big_work_fans_out(self, monkeypatch, fresh_timings):
-        import repro.parallel.executor as executor_mod
-        from repro.parallel import map_blocks
-
         monkeypatch.setattr(executor_mod, "effective_cpu_count", lambda: 2)
         fresh_timings[executor_mod._cost_key(_pids, ())] = 1.0  # 1 s per item
         parts = map_blocks(_pids, list(range(16)), n_jobs=2)
         assert [x for part in parts for _, x in part] == list(range(16))
         pids = {pid for part in parts for pid, _ in part}
         assert pids and os.getpid() not in pids
-        # the workers' own timing replaces the estimate
+        # the workers' faster timing replaces the estimate
         assert fresh_timings[executor_mod._cost_key(_pids, ())] < 1.0
 
     @pytest.mark.parametrize("n_jobs", [2, 3, 4])
     def test_arrays_cross_through_shared_memory(self, n_jobs, fan_out):
-        from repro.parallel import active_segments, map_blocks
-
         before = set(active_segments())
         rng = np.random.default_rng(0)
         data, weights = rng.normal(size=(30, 5)), rng.normal(size=30)
@@ -396,8 +357,6 @@ class TestMapBlocksFanOut:
         assert set(active_segments()) == before
 
     def test_worker_error_propagates_and_unlinks(self, fan_out):
-        from repro.parallel import active_segments, map_blocks
-
         before = set(active_segments())
         with pytest.raises(ValueError, match="item 7"):
             map_blocks(_fail_on_seven, range(20), (np.zeros((20, 2)),), n_jobs=2)

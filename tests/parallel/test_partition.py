@@ -1,11 +1,11 @@
-"""Tests for the block partitioners."""
+"""Tests for how map_blocks cuts its items into blocks."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.partition import block_partition, chunk_sizes
+from repro.parallel import map_blocks
+from repro.parallel.executor import chunk_sizes
 
 
 class TestChunkSizes:
@@ -32,17 +32,26 @@ class TestChunkSizes:
         assert max(sizes) - min(sizes) <= 1
 
 
+def _block(block):
+    return list(block)
+
+
 class TestBlockPartition:
-    def test_blocks_are_contiguous(self):
-        parts = block_partition(10, 3)
+    """The blocks a fan-out hands its workers."""
+
+    def test_blocks_are_contiguous(self, fan_out):
+        parts = map_blocks(_block, range(50), n_jobs=3)
+        assert len(parts) > 3
         for part in parts:
-            if len(part) > 1:
-                assert np.all(np.diff(part) == 1)
+            assert part == list(range(part[0], part[-1] + 1))
 
     @given(n=st.integers(0, 300), p=st.integers(1, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_exact_cover(self, n, p):
-        parts = block_partition(n, p)
-        merged = np.concatenate(parts) if parts else np.array([])
-        assert np.array_equal(merged, np.arange(n))
-
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exact_cover(self, fan_out, n, p):
+        parts = map_blocks(_block, range(n), n_jobs=p)
+        assert all(parts) or n == 0
+        assert [x for part in parts for x in part] == list(range(n))

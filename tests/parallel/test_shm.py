@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.parallel import Executor, active_segments
+from repro.parallel import active_segments, map_blocks
 from repro.parallel.shm import SharedArray, SharedArrayHandle
 
 
@@ -99,47 +99,33 @@ class TestUnlinkOnExit:
         assert sh.array is None
 
 
-def _read_cell(args):
-    handle, i = args
-    with handle.open() as att:
-        return float(att.array[i, 0])
+def _read_cells(block, data):
+    return [float(data[i, 0]) for i in block]
 
 
-def _crash(args):
+def _crash(block, data):
     import os
 
     os._exit(13)  # hard kill: no finally blocks, no atexit
 
 
 class TestWorkerLifecycles:
-    def test_workers_attach_and_owner_unlinks(self):
-        data = _matrix()
-        with SharedArray(data) as sh:
-            with Executor(n_workers=2) as ex:
-                out = ex.map(
-                    _read_cell, [(sh.handle, i) for i in range(len(data))]
-                )
-        assert out == [float(v) for v in data[:, 0]]
+    """map_blocks owns the segments its workers attach to; none outlives
+    a call, however the call ends."""
 
-    def test_worker_crash_leaves_no_segment(self):
+    def test_workers_attach_and_owner_unlinks(self, fan_out):
+        data = _matrix()
+        out = map_blocks(_read_cells, range(len(data)), (data,), n_jobs=2)
+        assert [v for part in out for v in part] == [float(v) for v in data[:, 0]]
+
+    def test_worker_crash_leaves_no_segment(self, fan_out):
         from concurrent.futures.process import BrokenProcessPool
 
-        with SharedArray(_matrix()) as sh:
-            name = sh.handle.name
-            ex = Executor(n_workers=2)
-            try:
-                with pytest.raises(BrokenProcessPool):
-                    ex.map(_crash, [(sh.handle, i) for i in range(6)])
-            finally:
-                ex.close()
-        assert name not in active_segments()
+        # fewer items than 4 W blocks: no in-process timing probe, every
+        # block runs in a worker
+        with pytest.raises(BrokenProcessPool):
+            map_blocks(_crash, range(6), (_matrix(),), n_jobs=2)
 
-    def test_exception_during_map_leaves_no_segment(self):
-        with SharedArray(_matrix()) as sh:
-            name = sh.handle.name
-            with Executor(n_workers=2) as ex:
-                with pytest.raises(IndexError):
-                    ex.map(
-                        _read_cell, [(sh.handle, i) for i in range(100)]
-                    )
-        assert name not in active_segments()
+    def test_exception_during_map_leaves_no_segment(self, fan_out):
+        with pytest.raises(IndexError):
+            map_blocks(_read_cells, [0, 1, 2, 3, 4, 5, 99], (_matrix(),), n_jobs=2)
