@@ -156,12 +156,14 @@ class TestForestFit:
         times: dict[int, list[float]] = {1: [], 2: [], 4: []}
         trees = max(4, N_TREES // 4)  # scaling shape, not absolute scale
         arms = list(times)
-        # two full order rotations: the box throttles under sustained
-        # load, so a fixed order measures later arms systematically hot;
-        # every arm visits every position equally often. Six reps per arm
-        # at either profile: on a host that keeps every arm in-process
-        # the arms run the same fit, so a 2-rep statistic is left to noise
-        for rep in range(2 * len(arms)):
+        # full order rotations: the box throttles under sustained load,
+        # so a fixed order measures later arms systematically hot; every
+        # arm visits every position equally often. Where every arm stays
+        # in-process (a smoke-sized fit never repays the pool) the arms
+        # run the same ~40 ms fit, and only a median of many reps tells
+        # them apart from noise: 30 per arm at smoke, 6 at full
+        rotations = 10 if SMOKE else 2
+        for rep in range(rotations * len(arms)):
             for n_jobs in arms[rep % len(arms):] + arms[:rep % len(arms)]:
                 times[n_jobs].append(
                     _fit_seconds(
@@ -170,15 +172,15 @@ class TestForestFit:
                         splitter="hist", n_jobs=n_jobs,
                     )
                 )
-        # fastest of the reps, as perfbench reads a timing: a shared host
-        # only ever adds time
-        fastest = {n: float(np.min(ts)) for n, ts in times.items()}
+        # the median: the fastest of a few reps read 0.78x between two
+        # identical in-process fits
+        median = {n: float(np.median(ts)) for n, ts in times.items()}
         payload = {
             "n_trees": trees,
             "reps": len(times[1]),
-            "seconds": {str(n): round(t, 4) for n, t in fastest.items()},
+            "seconds": {str(n): round(t, 4) for n, t in median.items()},
             "speedup_vs_serial": {
-                str(n): round(fastest[1] / t, 2) for n, t in fastest.items()
+                str(n): round(median[1] / t, 2) for n, t in median.items()
             },
             "note": (
                 "worker scaling is bounded by the affinity mask; on a "
@@ -192,10 +194,10 @@ class TestForestFit:
         # not asserted; determinism across n_jobs is asserted in tier-1.
         # But n_jobs must never be a *slowdown* — every parallel arm
         # stays within 5% of serial on any affinity mask.
-        for n_jobs, t in fastest.items():
-            assert fastest[1] / t >= 0.95, (
+        for n_jobs, t in median.items():
+            assert median[1] / t >= 0.95, (
                 f"parallel overhead: n_jobs={n_jobs} arm is "
-                f"{t / fastest[1]:.2f}x serial"
+                f"{t / median[1]:.2f}x serial"
             )
 
 

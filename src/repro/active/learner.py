@@ -60,6 +60,13 @@ class ActiveLearner:
     refresh_fraction:
         Fraction of trees regrown per warm refit (``1.0`` is bit-exact
         to a cold refit on the stacked data).
+    initial_model:
+        A model already fit by the call the seed fit would make,
+        ``clone_fn(estimator).fit(X_initial, y_initial)``; it becomes the
+        first :attr:`model` instead of a second, identical fit. Only the
+        plain ``fit`` path takes one (no ``binner``), and since cold
+        refits replace :attr:`model` with a fresh clone, the learner never
+        mutates it.
     """
 
     def __init__(
@@ -75,6 +82,7 @@ class ActiveLearner:
         initial_codes: np.ndarray | None = None,
         warm_start: bool = False,
         refresh_fraction: float = 0.25,
+        initial_model: BaseEstimator | None = None,
     ):
         if refit_every < 1:
             raise ValueError(f"refit_every must be >= 1, got {refit_every}")
@@ -125,8 +133,13 @@ class ActiveLearner:
         self._pending_warm: list[tuple[np.ndarray, object, np.ndarray]] = []
         self._last_report = None
         self._pending = 0
-        self.model = clone_fn(estimator)
-        self._fit_model()
+        if initial_model is None:
+            self.model = clone_fn(estimator)
+            self._fit_model()
+        elif binner is not None:
+            raise ValueError("initial_model needs the plain fit path, not the bin cache")
+        else:
+            self.model = initial_model
 
     def _fit_model(self) -> None:
         if self._binned is not None:

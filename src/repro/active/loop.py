@@ -95,6 +95,7 @@ def run_active_learning(
     warm_start: bool | str = False,
     refresh_fraction: float = 0.25,
     random_state: int | np.random.Generator | None = None,
+    seed_model: BaseEstimator | None = None,
 ) -> ALResult:
     """Run one full query→label→re-train→evaluate experiment.
 
@@ -132,6 +133,11 @@ def run_active_learning(
         Fraction of trees regrown per warm refit. ``1.0`` makes every
         round bit-identical to the cold path (same queries, same curves);
         smaller fractions trade fidelity for refit cost.
+    seed_model:
+        A clone of ``estimator`` already fit on ``(X_seed, y_seed)``. The
+        learner starts from it instead of refitting when its own seed fit
+        would be that same plain ``fit`` (no bin cache, no Proctor
+        representation); otherwise it is ignored. It is never mutated.
 
     Returns
     -------
@@ -209,6 +215,7 @@ def run_active_learning(
         initial_codes=seed_codes,
         warm_start=use_warm,
         refresh_fraction=refresh_fraction,
+        initial_model=seed_model if binner is None and clone_fn is clone else None,
     )
 
     # delta pool scoring: only meaningful under warm refits (the model

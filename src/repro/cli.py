@@ -468,7 +468,8 @@ def _cmd_serve_batch(args) -> int:
     for key in ("requests", "batches", "mean_batch_size",
                 "mean_batch_latency_s", "cache_hits", "escalations",
                 "retries", "deadline_drops", "watchdog_restarts",
-                "degraded_responses", "model_swaps", "warm_refits"):
+                "degraded_responses", "failed_batches", "failed_requests",
+                "model_swaps", "warm_refits"):
         value = snap[key]
         print(f"  {key:<22} {value:.4f}" if isinstance(value, float)
               else f"  {key:<22} {value}")
@@ -573,8 +574,8 @@ def _cmd_fleet_serve(args) -> int:
     for key in ("requests", "batches", "mean_batch_size",
                 "mean_batch_latency_s", "cache_hits", "escalations",
                 "retries", "deadline_drops", "watchdog_restarts",
-                "degraded_responses", "escalations_forced",
-                "escalations_refused"):
+                "degraded_responses", "failed_batches", "failed_requests",
+                "escalations_forced", "escalations_refused"):
         value = fleet_stats[key]
         print(f"  {key:<22} {value:.4f}" if isinstance(value, float)
               else f"  {key:<22} {value}")

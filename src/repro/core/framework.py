@@ -170,6 +170,9 @@ class ALBADross:
         self._X_seed: np.ndarray | None = None
         self._y_seed: np.ndarray | None = None
         self._train_rows: _CorpusRows | None = None
+        # fit_initial's model while it still is the fit of (_X_seed,
+        # _y_seed) under the current config; learn hands it to the learner
+        self._seed_model: BaseEstimator | None = None
 
     def __getstate__(self) -> dict:
         # the training-row cache holds run records and raw feature rows;
@@ -177,11 +180,13 @@ class ALBADross:
         # bytes as those of a framework without one
         state = self.__dict__.copy()
         state.pop("_train_rows", None)
+        state.pop("_seed_model", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._train_rows = None
+        self._seed_model = None
 
     # ------------------------------------------------------------------
     def fit_features(self, runs: Sequence[RunRecord] | RunCorpus) -> "ALBADross":
@@ -258,6 +263,7 @@ class ALBADross:
             random_state=self.config.random_state,
         )
         self.model.fit(X, y)
+        self._seed_model = self.model
         self._X_seed, self._y_seed = X, y
         if self._train_rows is not None:
             self._train_rows = self._train_rows.narrow(self.selector.support_)
@@ -283,6 +289,7 @@ class ALBADross:
         self.config = dataclasses.replace(
             self.config, model_params=dict(search.best_params_)
         )
+        self._seed_model = None  # fit under the old params
         return search.best_params_
 
     def learn(
@@ -321,7 +328,9 @@ class ALBADross:
             warm_start="auto" if self.config.warm_start else False,
             refresh_fraction=self.config.refresh_fraction,
             random_state=self.config.random_state,
+            seed_model=self._seed_model,
         )
+        self._seed_model = None
         # adopt the final model, fit on seed + every queried sample: the
         # loop's last cold refit already is that fit; binned and warm
         # refits are not, so those learns fit it here
@@ -407,6 +416,7 @@ class ALBADross:
             warm = self.config.warm_start
         X_new = self._featurize(runs)
         y_new = np.asarray(labels)
+        self._seed_model = None
         self._X_seed = np.vstack([self._X_seed, X_new])
         self._y_seed = np.concatenate([self._y_seed, y_new])
         if (

@@ -208,7 +208,7 @@ def batched_feature_rows(
     the extractors reduces per-column with width-stable accumulation, the
     scattered per-run rows are bit-identical to featurizing each run
     separately — the batching only amortizes the fixed cost of hundreds
-    of numpy/scipy dispatches over the whole group.
+    of numpy dispatches over the whole group.
 
     A run too short to survive trimming raises the same ``ValueError`` as
     ``preprocess_run`` on that run alone (it checks post-trim length before
@@ -300,7 +300,7 @@ class FeatureExtractor:
     Extraction is **run-batched**: runs of equal length are stacked into
     one ``(T, B*M)`` panel and preprocessed + featurized in a single
     kernel pass (:func:`batched_feature_rows`), amortizing the fixed
-    dispatch overhead of the ~hundreds of numpy/scipy kernels per call
+    dispatch overhead of the ~hundreds of numpy kernels per call
     over the whole corpus — bit-identical to per-run extraction, just
     without paying the dispatch tax once per run. :meth:`transform`
     extracts only the (metric column, statistic group) cells its

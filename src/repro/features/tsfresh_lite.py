@@ -151,6 +151,41 @@ def _approx_entropy_matrix(
     return np.where(sd < 1e-18, 0.0, out)
 
 
+def _welch(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Welch frequencies and PSD of every column of ``X`` (T, M).
+
+    Bitwise-equal to ``scipy.signal.welch(X, fs=1.0, nperseg=min(T, 64),
+    axis=0)`` on scipy 1.17 (``tests/features/test_welch.py`` holds scipy
+    as the oracle): it repeats the operations of its ``ShortTimeFFT``
+    path, in the same order and on the same memory layouts. Periodic Hann
+    window scaled to unit power before the FFT, segments of ``n`` samples
+    every ``n - n // 2``, constant detrend, one-sided doubling, mean over
+    segments.
+    """
+    T, M = X.shape
+    n = min(T, 64)
+    hop = n - n // 2
+    n_seg = (T - n // 2) // hop
+    if n == 1:  # scipy's length guard: the formula would give [0.0]
+        win = np.ones(1)
+    else:
+        win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    # builtin sum, as scipy does: np.sum would round differently
+    win = win * (1 / np.sqrt(sum(win**2)))
+    # the layout decides how the detrend mean accumulates: scipy pads a
+    # copy of (M, T) in F order only if it is F- and not C-contiguous
+    x = X[: min(n_seg * hop + n, T)].T
+    x = np.asarray(x, order="F" if x.flags.fnc else "C")
+    segs = np.lib.stride_tricks.sliding_window_view(x, n, axis=-1)[:, ::hop][:, :n_seg]
+    segs = segs - np.mean(segs, -1, keepdims=True)
+    spec = np.fft.rfft(segs * win, n, axis=-1)
+    # (M, freq, segment) contiguous: the mean sums each contiguous segment
+    # axis pairwise, and the (freq, M) result is F-ordered like scipy's
+    power = (spec.real**2 + spec.imag**2).transpose(0, 2, 1).copy()
+    power[:, 1 : None if n % 2 else -1] *= 2
+    return np.fft.rfftfreq(n, 1.0), power.mean(axis=-1).T
+
+
 class TsfreshPanel(Panel):
     """A :class:`~repro.features.mvts.Panel` with the intermediates the
     TSFRESH-lite groups add: one percentile pass serves both feature sets'
@@ -166,11 +201,7 @@ class TsfreshPanel(Panel):
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Welch frequencies, PSD and the total power safe to divide by."""
-        # imported here: scipy is costly to import, and only this group
-        # of the TSFRESH method needs it
-        from scipy import signal
-
-        freqs, psd = signal.welch(self.X, fs=1.0, nperseg=min(self.T, 64), axis=0)
+        freqs, psd = _welch(self.X)
         total_power = psd.sum(axis=0)
         return freqs, psd, np.where(total_power > 1e-18, total_power, 1.0)
 

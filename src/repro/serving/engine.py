@@ -199,9 +199,14 @@ class MicroBatcher:
         for start in range(0, len(runs), self.max_batch):
             chunk = list(runs[start : start + self.max_batch])
             t0 = time.perf_counter()
-            out = self.predict_fn(chunk)
+            try:
+                out = self.predict_fn(chunk)
+            except BaseException:
+                self.stats.record_failed_batch(len(chunk))
+                raise
             n_out = len(out) if hasattr(out, "__len__") else -1
             if n_out != len(chunk):
+                self.stats.record_failed_batch(len(chunk))
                 raise PredictionMismatchError(
                     f"predict_fn returned {n_out} diagnoses for {len(chunk)} runs"
                 )
@@ -497,10 +502,11 @@ class MicroBatcher:
                         self._backoff(delay, token, generation)
                     if self._current(generation) and not self._closed.is_set():
                         continue
+                self.stats.record_failed_batch(len(batch))
                 for req in batch:  # propagate to every waiter, keep serving
                     self._resolve(req, exception=exc)
                 return
-        self.stats.record_batch(len(batch), time.perf_counter() - t0)
+        latency_s = time.perf_counter() - t0
         n_out = len(diagnoses) if hasattr(diagnoses, "__len__") else -1
         if n_out != len(runs):
             # a silent zip here would leave the trailing futures hanging
@@ -508,9 +514,11 @@ class MicroBatcher:
             exc = PredictionMismatchError(
                 f"predict_fn returned {n_out} diagnoses for {len(runs)} runs"
             )
+            self.stats.record_failed_batch(len(batch))
             for req in batch:
                 self._resolve(req, exception=exc)
             return
+        self.stats.record_batch(len(batch), latency_s)
         for req, diagnosis in zip(batch, diagnoses):
             self._resolve(req, result=diagnosis)
 

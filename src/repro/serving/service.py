@@ -236,6 +236,7 @@ class DiagnosisService:
         """Liveness probe: a plain dict for CLI/exporter consumption."""
         engine = self._engine
         breaker = self.breaker
+        stats = self.stats.snapshot()
         return {
             "started": engine is not None,
             "ready": self.ready(),
@@ -260,6 +261,8 @@ class DiagnosisService:
             "escalation_forced": (
                 self.escalation.n_forced if self.escalation is not None else 0
             ),
+            "failed_batches": stats["failed_batches"],
+            "failed_requests": stats["failed_requests"],
         }
 
     def ready(self) -> bool:

@@ -3,10 +3,10 @@
 Everything the serving subsystem wants to report — request volume, how
 well the micro-batcher is coalescing, cache effectiveness, escalation
 pressure, per-batch latency, and the reliability layer's interventions
-(retries, deadline drops, watchdog restarts, degraded responses) —
-funnels through one thread-safe :class:`ServiceStats` object. The
-snapshot is a plain dict so the CLI can print it and tests can assert on
-it without poking at internals.
+(retries, deadline drops, watchdog restarts, degraded responses, failed
+batches) — funnels through one thread-safe :class:`ServiceStats` object.
+The snapshot is a plain dict so the CLI can print it and tests can
+assert on it without poking at internals.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ class ServiceStats:
             self._degraded = 0
             self._forced_escalations = 0
             self._refused_escalations = 0
+            self._failed_batches = 0
+            self._failed_requests = 0
 
     # ------------------------------------------------------------------
     def record_request(self, n: int = 1) -> None:
@@ -94,8 +96,14 @@ class ServiceStats:
         with self._lock:
             self._refused_escalations += n
 
+    def record_failed_batch(self, size: int) -> None:
+        """One micro-batch whose ``size`` requests all got its error."""
+        with self._lock:
+            self._failed_batches += 1
+            self._failed_requests += size
+
     def record_batch(self, size: int, latency_s: float) -> None:
-        """One dispatched micro-batch: its size and wall-clock latency."""
+        """One scored micro-batch: its size and wall-clock latency."""
         with self._lock:
             self._batches += 1
             self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
@@ -127,6 +135,8 @@ class ServiceStats:
                 "degraded_responses": self._degraded,
                 "escalations_forced": self._forced_escalations,
                 "escalations_refused": self._refused_escalations,
+                "failed_batches": self._failed_batches,
+                "failed_requests": self._failed_requests,
             }
 
     @staticmethod
@@ -150,6 +160,8 @@ class ServiceStats:
             "degraded_responses": 0,
             "escalations_forced": 0,
             "escalations_refused": 0,
+            "failed_batches": 0,
+            "failed_requests": 0,
         }
         latency_sum = 0.0
         latency_max = 0.0

@@ -190,6 +190,39 @@ class TestFailurePropagation:
                 with pytest.raises(ValueError, match="bad batch"):
                     future.result(timeout=5.0)
 
+    def test_poisoned_batch_is_counted_as_failed(self):
+        def boom(runs):
+            raise ValueError("poisoned")
+
+        stats = ServiceStats()
+        # the dispatcher lingers until all nine submissions share one batch
+        with MicroBatcher(boom, max_batch=9, max_linger_s=5.0, stats=stats) as engine:
+            futures = [engine.submit(object()) for _ in range(9)]
+            for future in futures:
+                with pytest.raises(ValueError, match="poisoned"):
+                    future.result(timeout=10.0)
+        snap = stats.snapshot()
+        assert snap["failed_batches"] == 1
+        assert snap["failed_requests"] == 9
+        assert snap["batches"] == 0
+        assert snap["batch_size_histogram"] == {}
+
+    def test_failed_batches_counted_alike_on_both_paths(self):
+        def truncating(runs):
+            return [Diagnosis(label="ok", confidence=1.0) for _ in runs[:-1]]
+
+        queued, bulk = ServiceStats(), ServiceStats()
+        with MicroBatcher(truncating, max_batch=3, max_linger_s=5.0, stats=queued) as engine:
+            futures = [engine.submit(object()) for _ in range(3)]
+            for future in futures:
+                with pytest.raises(PredictionMismatchError):
+                    future.result(timeout=10.0)
+        with MicroBatcher(truncating, max_batch=3, stats=bulk) as engine:
+            with pytest.raises(PredictionMismatchError):
+                engine.diagnose_many([object()] * 3)
+        assert queued.snapshot() == bulk.snapshot()
+        assert bulk.snapshot()["failed_requests"] == 3
+
     def test_engine_survives_a_failing_batch(self):
         state = {"fail": True}
 

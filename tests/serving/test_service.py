@@ -195,6 +195,21 @@ class TestEscalationVisibility:
         assert snap["escalations_refused"] == 0
 
 
+class TestFailedBatchVisibility:
+    def test_health_counts_a_poisoned_batch(self, registry, corpus):
+        def boom(runs):
+            raise ValueError("poisoned")
+
+        service = DiagnosisService(registry, max_linger_s=0.0, cache_size=0)
+        with service:
+            service._engine.predict_fn = boom
+            with pytest.raises(ValueError, match="poisoned"):
+                service.diagnose(corpus["pool"][0])
+            health = service.health()
+        assert health["failed_batches"] == 1
+        assert health["failed_requests"] == 1
+
+
 class TestBoundedDiagnose:
     def test_stuck_future_raises_deadline_exceeded(
         self, registry, corpus, monkeypatch

@@ -77,6 +77,29 @@ class TestEscalationPressureCounters:
         assert snap["escalations_refused"] == 0
 
 
+class TestFailedBatches:
+    def test_failed_batches_accumulate_apart_from_batches(self):
+        stats = ServiceStats()
+        stats.record_failed_batch(9)
+        stats.record_failed_batch(2)
+        snap = stats.snapshot()
+        assert snap["failed_batches"] == 2
+        assert snap["failed_requests"] == 11
+        assert snap["batches"] == 0
+        stats.reset()
+        assert stats.snapshot()["failed_requests"] == 0
+
+    def test_merge_sums_failed_batches(self):
+        a, b = ServiceStats(), ServiceStats()
+        a.record_failed_batch(9)
+        b.record_failed_batch(1)
+        b.record_batch(4, 0.1)
+        merged = ServiceStats.merge([a.snapshot(), b.snapshot()])
+        assert merged["failed_batches"] == 2
+        assert merged["failed_requests"] == 10
+        assert merged["batches"] == 1
+
+
 class TestMerge:
     def test_merge_sums_counters_and_rederives_means(self):
         a, b = ServiceStats(), ServiceStats()
