@@ -1,21 +1,19 @@
-"""Performance benchmark for the sharded serving fleet.
+"""Performance benchmark for the serving path.
 
 Replays the paper's production shape — Eclipse, 1488 compute nodes at
-1 Hz — through the serving path and records the result in
+1 Hz — through one :class:`DiagnosisService` and records the result in
 ``BENCH_serving.json`` at the repository root:
 
-* the *same deterministic stream* driven through a single
-  :class:`DiagnosisService` (the pre-fleet serving path) and through a
-  4-shard :class:`FleetService`, with the diagnoses asserted identical
-  between arms (sharding must not change a single label or confidence);
-* a faulted fleet arm replaying seeded stalls, hangs, and crash bursts
-  against individual shards plus a mid-replay shard kill — recording the
-  typed failure census and proving the census is exhaustive (every
-  accepted event resolves).
+* the clean ``serial`` arm: a deterministic stream, replayed over reps
+  with the median reported, whose diagnoses are asserted bit-identical
+  to the offline framework's on the same runs;
+* a faulted arm replaying seeded stalls, a hang and crash bursts through
+  the service's ``predict_wrapper``, with a dispatcher watchdog and a
+  dispatcher restart mid-replay — recording the typed failure census
+  and proving the census is exhaustive (every accepted event resolves).
 
-Timing protocol mirrors ``test_perf_train_core.py``: this box throttles
-under sustained load, so the serial and fleet arms are *interleaved* and
-each reported number is the median over reps.
+Timing protocol mirrors ``test_perf_train_core.py``: each reported
+number of the clean arm is the median over reps.
 
 ``SERVING_PROFILE=smoke`` shrinks the stream for CI; the smoke numbers
 gate regressions against ``benchmarks/baselines/`` via
@@ -37,19 +35,13 @@ from repro.apps.volta_apps import VOLTA_APPS
 from repro.core.config import FrameworkConfig
 from repro.core.framework import ALBADross
 from repro.datasets.generate import SystemConfig, generate_runs
-from repro.serving.fleet import FleetService
-from repro.serving.registry import ModelRegistry
-from repro.serving.replay import (
-    ECLIPSE_NODES,
-    ReplayStream,
-    fault_wrapper_factory,
-    replay,
-)
 from repro.parallel import effective_cpu_count
+from repro.serving.registry import ModelRegistry
+from repro.serving.replay import ECLIPSE_NODES, ReplayStream, replay
 from repro.serving.service import DiagnosisService
 from repro.telemetry.catalog import build_catalog
 from repro.telemetry.node import VOLTA_NODE
-from repro.testing.faults import FaultPlan
+from repro.testing.faults import FaultInjector, FaultPlan
 
 PROFILE = os.environ.get("SERVING_PROFILE", "full")
 SMOKE = PROFILE == "smoke"
@@ -58,7 +50,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_serving.json"
 
 REPS = 1 if SMOKE else 3
-N_SHARDS = 4
 TICKS = 2
 EMIT_PER_TICK = 96 if SMOKE else None  # None = all 1488 nodes, saturation
 
@@ -103,7 +94,11 @@ def harness(tmp_path_factory):
     )
     registry = ModelRegistry(tmp_path_factory.mktemp("bench-registry"))
     registry.publish(framework, tag="bench-serving")
-    return {"registry": registry, "templates": runs[2 * third :]}
+    return {
+        "registry": registry,
+        "framework": framework,
+        "templates": runs[2 * third :],
+    }
 
 
 def _stream(harness) -> ReplayStream:
@@ -121,110 +116,92 @@ def _service_opts() -> dict:
 
 
 class TestEclipseReplay:
-    def test_serial_vs_fleet(self, harness):
-        """The tentpole numbers: sustained runs/sec and tail latency for
-        the identical 1488-node stream, serial engine vs sharded fleet."""
+    def test_serial(self, harness):
+        """Sustained runs/sec and tail latency for the 1488-node stream on
+        one service; served diagnoses equal the offline framework's."""
         registry = harness["registry"]
-        arms: dict[str, list] = {"serial": [], "fleet": []}
-        parity: dict[str, list] = {}
-        for _rep in range(REPS):  # interleaved, medians below
-            with DiagnosisService(registry, **_service_opts()) as serial:
-                arms["serial"].append(
-                    replay(serial, _stream(harness), keep_diagnoses=True)
+        reports = []
+        for _rep in range(REPS):
+            with DiagnosisService(registry, **_service_opts()) as service:
+                reports.append(
+                    replay(service, _stream(harness), keep_diagnoses=True)
                 )
-            fleet = FleetService(registry, n_shards=N_SHARDS, **_service_opts())
-            with fleet:
-                arms["fleet"].append(
-                    replay(fleet, _stream(harness), keep_diagnoses=True)
-                )
-        for name, reports in arms.items():
-            for report in reports:
-                assert report.n_failed == 0, (name, report.failures)
-                assert report.n_ok == report.n_events == len(_stream(harness))
-            parity[name] = [
-                (d.label, d.confidence) for d in reports[0].diagnoses
-            ]
-        # sharding must not change a single diagnosis
-        assert parity["fleet"] == parity["serial"]
+        for report in reports:
+            assert report.n_failed == 0, report.failures
+            assert report.n_ok == report.n_events == len(_stream(harness))
+        offline = harness["framework"].diagnose(
+            [event.run for event in _stream(harness).events()]
+        )
+        expected = [(d.label, d.confidence) for d in offline]
+        for report in reports:
+            assert [(d.label, d.confidence) for d in report.diagnoses] == expected
 
         med = {
-            name: {
-                "wall_s": float(np.median([r.wall_s for r in reports])),
-                "sustained_rps": float(
-                    np.median([r.sustained_rps for r in reports])
-                ),
-                "p50_ms": float(np.median([r.p50_ms for r in reports])),
-                "p99_ms": float(np.median([r.p99_ms for r in reports])),
-            }
-            for name, reports in arms.items()
+            "wall_s": float(np.median([r.wall_s for r in reports])),
+            "sustained_rps": float(np.median([r.sustained_rps for r in reports])),
+            "p50_ms": float(np.median([r.p50_ms for r in reports])),
+            "p99_ms": float(np.median([r.p99_ms for r in reports])),
         }
         payload = {
-            "n_events": arms["serial"][0].n_events,
+            "n_events": reports[0].n_events,
             "ticks": TICKS,
             "emit_per_tick": EMIT_PER_TICK or ECLIPSE_NODES,
-            "n_shards": N_SHARDS,
             "reps": REPS,
-            "serial": {k: round(v, 4) for k, v in med["serial"].items()},
-            "fleet": {k: round(v, 4) for k, v in med["fleet"].items()},
-            "fleet_speedup": round(
-                med["serial"]["wall_s"] / med["fleet"]["wall_s"], 2
-            ),
-            "diagnoses_identical": True,
+            "serial": {k: round(v, 4) for k, v in med.items()},
+            "diagnoses_match_offline": True,
             "note": (
-                "single shared model => fleet speedup is bounded by "
-                "cpu_count and batching overlap, not by shard count; "
-                "featurization inside each coalesced micro-batch is "
-                "run-batched (one extraction kernel pass per batch), so "
-                "per-batch latency scales with batch bytes, not run count"
+                "every event is submitted at once, so p50/p99 are mostly "
+                "queue wait; featurization inside each coalesced "
+                "micro-batch is run-batched (one extraction kernel pass "
+                "per batch), so per-batch latency scales with batch "
+                "bytes, not run count"
             ),
         }
         _update_results("eclipse_replay", payload)
         assert payload["serial"]["sustained_rps"] > 0
-        assert payload["fleet"]["sustained_rps"] > 0
 
-    def test_faulted_fleet(self, harness):
-        """Chaos arm: seeded stalls, hangs, crash bursts, and a shard
-        killed mid-replay. The census must stay exhaustive and the
-        surviving shards must keep absorbing the stream."""
-        registry = harness["registry"]
-        plans = {
-            0: FaultPlan.script(["ok", "stall:0.05", "ok", "raise:3", "hang"]),
-            1: FaultPlan.script(["ok", "ok", "raise:2"]),
-        }
-        factory = fault_wrapper_factory(plans, hang_limit_s=0.2)
-        fleet = FleetService(
-            registry,
-            n_shards=N_SHARDS,
-            predict_wrapper_factory=factory,
+    def test_faulted_service(self, harness):
+        """Chaos arm: seeded stalls, a hang, crash bursts and a dispatcher
+        restarted mid-replay. The census must stay exhaustive and the
+        service must keep absorbing the stream."""
+        # the restart can supersede at most one batch, and every replay
+        # scores at least three: a raise always reaches some waiters
+        injector = FaultInjector(
+            FaultPlan.script(
+                ["raise", "stall:0.05", "raise", "hang", "ok", "raise:2"]
+            ),
+            hang_limit_s=0.2,
+        )
+        service = DiagnosisService(
+            harness["registry"],
+            predict_wrapper=injector.wrap,
+            watchdog_stall_s=5.0,
             **_service_opts(),
         )
-        kill_at_tick = 1
-        victim = N_SHARDS - 1
+        restart_at_tick = 1
 
         def on_tick(tick: int) -> None:
-            if tick == kill_at_tick:
-                fleet.mark_down(victim)
+            if tick == restart_at_tick:
+                service._engine.restart_dispatcher("benchmark chaos")
 
         t0 = time.perf_counter()
-        with fleet:
-            report = replay(
-                fleet,
-                _stream(harness),
-                on_tick=on_tick,
-                probe_between_ticks=True,
-            )
+        with service:
+            report = replay(service, _stream(harness), on_tick=on_tick)
+            restarts = service.health()["dispatcher_restarts"]
         wall_s = time.perf_counter() - t0
         assert report.n_ok + report.n_failed == report.n_events
+        assert report.n_failed == sum(report.failures.values())
+        assert set(report.failures) <= {"InjectedFault", "DispatcherRestarted"}
+        assert report.failures.get("InjectedFault", 0) > 0
         assert report.n_ok > 0
-        assert victim in fleet.down_shards
+        assert restarts >= 1
         payload = {
             "n_events": report.n_events,
             "n_ok": report.n_ok,
             "n_failed": report.n_failed,
             "failure_census": dict(sorted(report.failures.items())),
-            "killed_shard": victim,
-            "kill_at_tick": kill_at_tick,
-            "reroutes": fleet.reroutes,
+            "restart_at_tick": restart_at_tick,
+            "dispatcher_restarts": restarts,
             "sustained_rps": round(report.sustained_rps, 1),
             "wall_s": round(wall_s, 4),
             "census_exhaustive": True,
@@ -246,9 +223,6 @@ class TestBaselineGate:
         checks = {
             "eclipse_replay.serial.wall_s": lambda d: d["eclipse_replay"][
                 "serial"
-            ]["wall_s"],
-            "eclipse_replay.fleet.wall_s": lambda d: d["eclipse_replay"][
-                "fleet"
             ]["wall_s"],
             "eclipse_replay_faulted.wall_s": lambda d: d[
                 "eclipse_replay_faulted"

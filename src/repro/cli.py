@@ -15,10 +15,8 @@ The operational surface a site would actually script against:
   (list / publish / rollback / activate);
 * ``serve-batch`` — score an archive through the online
   :class:`~repro.serving.service.DiagnosisService` (micro-batching,
-  cache, escalation) and print the service counters;
-* ``fleet-serve`` — score an archive through the sharded
-  :class:`~repro.serving.fleet.FleetService` (consistent-hash routing,
-  per-shard breaker/watchdog, optional durable job store);
+  cache, escalation, optional durable job store) and print the service
+  counters;
 * ``queue`` — operate the durable job queue
   (list / inspect / requeue / purge).
 """
@@ -114,6 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--escalate", action="store_true",
                    help="route low-confidence verdicts to the escalation queue")
+    p.add_argument("--jobs-db", type=Path, default=None,
+                   help="durable job queue database; escalations flush "
+                        "here at shutdown and survive crashes")
     p.add_argument("--retrain", action="store_true",
                    help="after serving, close the loop: annotate escalated "
                         "runs with their archived labels, refit, publish, "
@@ -135,38 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the health/readiness probe after serving")
     p.add_argument("--stats-json", type=Path, default=None,
                    help="dump a machine-readable ServiceStats snapshot "
-                        "(plus health) to this path for scraping")
-
-    p = sub.add_parser("fleet-serve",
-                       help="score an archive through the sharded fleet")
-    p.add_argument("--registry", type=Path, required=True)
-    p.add_argument("--runs", type=Path, required=True)
-    p.add_argument("--ref", default="current",
-                   help="registry version to serve (default: current)")
-    p.add_argument("--shards", type=int, default=4,
-                   help="engine shards in the pool")
-    p.add_argument("--vnodes", type=int, default=64,
-                   help="virtual nodes per shard on the hash ring")
-    p.add_argument("--max-batch", type=int, default=32)
-    p.add_argument("--linger-ms", type=float, default=5.0)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--escalate", action="store_true",
-                   help="route low-confidence verdicts to the escalation queue")
-    p.add_argument("--jobs-db", type=Path, default=None,
-                   help="durable job queue database; escalations flush "
-                        "here at shutdown and survive crashes")
-    p.add_argument("--deadline-ms", type=float, default=None,
-                   help="per-request TTL; expired requests fail fast")
-    p.add_argument("--retries", type=int, default=0,
-                   help="retries (with backoff) for transient scoring failures")
-    p.add_argument("--degrade-after", type=int, default=None,
-                   help="per-shard circuit breaker threshold")
-    p.add_argument("--stall-timeout-s", type=float, default=None,
-                   help="per-shard watchdog stall timeout")
-    p.add_argument("--health", action="store_true",
-                   help="print the fleet health probe after serving")
-    p.add_argument("--stats-json", type=Path, default=None,
-                   help="dump the aggregated fleet stats snapshot "
                         "(plus health) to this path for scraping")
 
     p = sub.add_parser(
@@ -392,6 +361,7 @@ def _cmd_serve_batch(args) -> int:
         CircuitBreaker,
         DiagnosisService,
         EscalationQueue,
+        JobQueue,
         ModelRegistry,
         RegistryError,
         RetryPolicy,
@@ -405,7 +375,11 @@ def _cmd_serve_batch(args) -> int:
         print("--retrain needs --escalate (nothing to learn from otherwise)",
               file=sys.stderr)
         return 2
-    escalation = EscalationQueue() if args.escalate else None
+    jobs = JobQueue(args.jobs_db) if args.jobs_db is not None else None
+    escalation = (
+        EscalationQueue(store=jobs) if (args.escalate or jobs is not None)
+        else None
+    )
     breaker = (
         CircuitBreaker(failure_threshold=args.degrade_after)
         if args.degrade_after is not None
@@ -477,6 +451,10 @@ def _cmd_serve_batch(args) -> int:
     if escalation is not None:
         print(f"escalation queue depth: {len(escalation)} "
               f"(rate {escalation.escalation_rate:.2f})")
+    if jobs is not None:
+        print("job queue: " + "  ".join(
+            f"{state}={n}" for state, n in jobs.counts().items()))
+        jobs.close()
     if health is not None:
         print("health:")
         for key, value in health.items():
@@ -498,105 +476,6 @@ def _write_stats_json(path: Path, stats: dict, health: dict | None) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"stats snapshot written to {path}")
-
-
-def _cmd_fleet_serve(args) -> int:
-    from .datasets.runs_io import load_runs
-    from .serving import (
-        CircuitBreaker,
-        EscalationQueue,
-        FleetService,
-        JobQueue,
-        ModelRegistry,
-        RegistryError,
-        RetryPolicy,
-        ServingError,
-    )
-
-    runs = load_runs(args.runs)
-    if args.limit is not None:
-        runs = runs[: args.limit]
-    jobs = JobQueue(args.jobs_db) if args.jobs_db is not None else None
-    escalation = (
-        EscalationQueue(store=jobs) if (args.escalate or jobs is not None)
-        else None
-    )
-    breaker_factory = (
-        (lambda: CircuitBreaker(failure_threshold=args.degrade_after))
-        if args.degrade_after is not None
-        else None
-    )
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
-    fleet = FleetService(
-        ModelRegistry(args.registry),
-        n_shards=args.shards,
-        vnodes=args.vnodes,
-        escalation=escalation,
-        jobs=jobs,
-        max_batch=args.max_batch,
-        max_linger_s=args.linger_ms / 1000.0,
-        default_deadline_s=(
-            args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-        ),
-        retry=retry,
-        breaker_factory=breaker_factory,
-        watchdog_stall_s=args.stall_timeout_s,
-    )
-    try:
-        fleet.start(args.ref)
-    except RegistryError as exc:
-        print(f"registry error: {exc}", file=sys.stderr)
-        return 2
-    failures: dict[str, int] = {}
-    with fleet:
-        print(f"fleet of {args.shards} shards serving "
-              f"{fleet.version.version_id}")
-        futures = [fleet.submit(run) for run in runs]
-        diagnoses = []
-        for f in futures:
-            try:
-                diagnoses.append(f.result())
-            except ServingError as exc:
-                kind = type(exc).__name__
-                failures[kind] = failures.get(kind, 0) + 1
-        health = fleet.health() if args.health else None
-        snap = fleet.stats_snapshot()
-    labels: dict[str, int] = {}
-    for d in diagnoses:
-        labels[d.label] = labels.get(d.label, 0) + 1
-    print(f"scored {len(diagnoses)} runs across {args.shards} shards")
-    for label, count in sorted(labels.items()):
-        print(f"  {label:<12} {count}")
-    for kind, count in sorted(failures.items()):
-        print(f"  [failed] {kind:<12} {count}")
-    fleet_stats = snap["fleet"]
-    print("fleet stats:")
-    for key in ("requests", "batches", "mean_batch_size",
-                "mean_batch_latency_s", "cache_hits", "escalations",
-                "retries", "deadline_drops", "watchdog_restarts",
-                "degraded_responses", "failed_batches", "failed_requests",
-                "escalations_forced", "escalations_refused"):
-        value = fleet_stats[key]
-        print(f"  {key:<22} {value:.4f}" if isinstance(value, float)
-              else f"  {key:<22} {value}")
-    print(f"  reroutes               {snap['reroutes']}")
-    print(f"  shard_deaths           {snap['shard_deaths']}")
-    per_shard = snap["per_shard"]
-    for name in sorted(per_shard):
-        s = per_shard[name]
-        print(f"  {name}: requests={s['requests']} batches={s['batches']} "
-              f"mean_batch={s['mean_batch_size']:.2f}")
-    if jobs is not None:
-        counts = jobs.counts()
-        print("job queue: " + "  ".join(
-            f"{state}={n}" for state, n in counts.items()))
-    if health is not None:
-        print("fleet health: "
-              f"live={health['live_shards']} down={health['down_shards']} "
-              f"version={health['version']}")
-    if args.stats_json is not None:
-        _write_stats_json(args.stats_json, snap, health)
-    return 0
 
 
 def _cmd_queue(args) -> int:
@@ -684,7 +563,6 @@ _COMMANDS = {
     "info": _cmd_info,
     "registry": _cmd_registry,
     "serve-batch": _cmd_serve_batch,
-    "fleet-serve": _cmd_fleet_serve,
     "queue": _cmd_queue,
     "lint": _cmd_lint,
 }

@@ -309,6 +309,7 @@ class ALBADross:
             raise RuntimeError("call fit_initial first")
         X_pool = self._featurize(pool_runs, gather=True)
         X_val = self._featurize(validation_runs, gather=True)
+        seed_model = self._seed_model
         result = run_active_learning(
             build_model(
                 self.config.model,
@@ -328,20 +329,21 @@ class ALBADross:
             warm_start="auto" if self.config.warm_start else False,
             refresh_fraction=self.config.refresh_fraction,
             random_state=self.config.random_state,
-            seed_model=self._seed_model,
+            seed_model=seed_model,
         )
         self._seed_model = None
+        taught = result.oracle.history
         # adopt the final model, fit on seed + every queried sample: the
-        # loop's last cold refit already is that fit; binned and warm
-        # refits are not, so those learns fit it here
+        # loop's last cold refit already is that fit, and with no query
+        # fit_initial's model is (unless tune changed the params since);
+        # binned and warm refits are not, so those learns fit it here
         if result.model is not None:
             self.model = result.model
-        else:
-            taught = [r.pool_index for r in result.oracle.history]
-            X_final = np.vstack([self._X_seed, X_pool[taught]])
-            y_final = np.concatenate(
-                [self._y_seed, [r.label for r in result.oracle.history]]
-            )
+        elif taught or seed_model is None:
+            X_final, y_final = self._X_seed, self._y_seed
+            if taught:
+                X_final = np.vstack([X_final, X_pool[[r.pool_index for r in taught]]])
+                y_final = np.concatenate([y_final, [r.label for r in taught]])
             self.model = build_model(
                 self.config.model,
                 self.config.resolved_model_params(),

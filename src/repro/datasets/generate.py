@@ -101,9 +101,8 @@ class _RunSpec:
     runs use ``(app_idx, 0, deck, repeat)``, anomalous runs
     ``(app_idx, 1 + anomaly_idx, repeat)``. The key depends only on the
     grid coordinates — never on enumeration order or worker count.
-    ``node_count`` is ``None`` for healthy runs: the legacy campaign
-    draws it at collection time, so streamed runs draw it from their own
-    stream as the first variate.
+    ``node_count`` is ``None`` for healthy runs: they draw it at
+    collection time (see :func:`_collect_spec`).
     """
 
     app_name: str
@@ -115,8 +114,8 @@ class _RunSpec:
 
 
 def _campaign_grid(config: SystemConfig) -> list[_RunSpec]:
-    """Materialize every (app × deck × anomaly × repeat) cell, in the
-    canonical (legacy-enumeration) corpus order."""
+    """Materialize every (app × deck × anomaly × repeat) cell, in corpus
+    order; both generators enumerate this grid."""
     specs: list[_RunSpec] = []
     for app_idx, (app_name, app) in enumerate(sorted(config.apps.items())):
         n_inputs = min(app.n_inputs, 3)
@@ -156,6 +155,29 @@ def _master_entropy(rng: int | np.random.Generator | None) -> int:
     return int(rng)
 
 
+def _collect_spec(
+    collector: Collector,
+    config: SystemConfig,
+    spec: _RunSpec,
+    rng: np.random.Generator,
+) -> RunRecord:
+    """Collect one grid cell. A healthy run draws its ``node_count`` from
+    ``rng`` first: the campaign's shared RNG on the legacy path, the
+    run's own stream on the seed-streamed one."""
+    node_count = spec.node_count
+    if node_count is None:
+        node_count = config.node_counts[int(rng.integers(len(config.node_counts)))]
+    return collector.collect(
+        config.apps[spec.app_name],
+        input_deck=spec.input_deck,
+        duration=config.duration,
+        anomaly=get_anomaly(spec.anomaly_name) if spec.anomaly_name else None,
+        intensity=spec.intensity,
+        node_count=node_count,
+        rng=rng,
+    )
+
+
 def _collect_runs(
     config: SystemConfig, master: int, specs: list[_RunSpec]
 ) -> RunCorpus:
@@ -165,25 +187,17 @@ def _collect_runs(
     the result is independent of blocking and worker count.
     """
     collector = Collector(config.catalog, config.node, config.missing_rate)
-    runs: list[RunRecord] = []
-    for spec in specs:
-        seq = np.random.SeedSequence(entropy=master, spawn_key=spec.stream_key)
-        rng = np.random.default_rng(seq)
-        node_count = spec.node_count
-        if node_count is None:
-            node_count = config.node_counts[int(rng.integers(len(config.node_counts)))]
-        anomaly = get_anomaly(spec.anomaly_name) if spec.anomaly_name else None
-        runs.append(
-            collector.collect(
-                config.apps[spec.app_name],
-                input_deck=spec.input_deck,
-                duration=config.duration,
-                anomaly=anomaly,
-                intensity=spec.intensity,
-                node_count=node_count,
-                rng=rng,
-            )
+    runs = [
+        _collect_spec(
+            collector,
+            config,
+            spec,
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=master, spawn_key=spec.stream_key)
+            ),
         )
+        for spec in specs
+    ]
     return RunCorpus.from_records(runs)
 
 
@@ -224,41 +238,10 @@ def generate_runs(
         return generate_corpus(config, rng, n_jobs=n_jobs).to_records()
     rng = check_random_state(rng)
     collector = Collector(config.catalog, config.node, config.missing_rate)
-    runs: list[RunRecord] = []
-    for app_name, app in sorted(config.apps.items()):
-        n_inputs = min(app.n_inputs, 3)
-        for deck in range(n_inputs):
-            for _ in range(config.n_healthy_per_app_input):
-                node_count = config.node_counts[
-                    int(rng.integers(len(config.node_counts)))
-                ]
-                runs.append(
-                    collector.collect(
-                        app,
-                        input_deck=deck,
-                        duration=config.duration,
-                        node_count=node_count,
-                        rng=rng,
-                    )
-                )
-        for anomaly_name in config.anomaly_names:
-            anomaly = get_anomaly(anomaly_name)
-            for i in range(config.n_anomalous_per_app_anomaly):
-                deck = i % n_inputs
-                intensity = config.intensities[i % len(config.intensities)]
-                node_count = config.node_counts[i % len(config.node_counts)]
-                runs.append(
-                    collector.collect(
-                        app,
-                        input_deck=deck,
-                        duration=config.duration,
-                        anomaly=anomaly,
-                        intensity=intensity,
-                        node_count=node_count,
-                        rng=rng,
-                    )
-                )
-    return runs
+    return [
+        _collect_spec(collector, config, spec, rng)
+        for spec in _campaign_grid(config)
+    ]
 
 
 def build_dataset(

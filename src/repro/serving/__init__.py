@@ -11,21 +11,23 @@ long-running serving path:
   load, result cache, hot version swap, escalation wiring, health and
   readiness probes.
 * :mod:`repro.serving.escalation` — annotation escalation queue closing
-  the active-learning loop online.
+  the active-learning loop online, and the at-least-once retrain cycle.
 * :mod:`repro.serving.reliability` — typed serving errors, retry policy,
   circuit breaker, and the dispatcher watchdog.
 * :mod:`repro.serving.stats` — service counters as a plain-dict snapshot.
 * :mod:`repro.serving.jobs` — durable SQLite-backed at-least-once job
   queue (escalation and retrain orders survive process death).
-* :mod:`repro.serving.fleet` — consistent-hash shard router and the
-  ``FleetService`` pool for Eclipse-scale serving.
 * :mod:`repro.serving.replay` — deterministic 1488-node replay harness
   and throughput/latency reporting.
 """
 
 from .engine import BackpressureError, MicroBatcher
-from .escalation import EscalationItem, EscalationQueue, apply_annotations
-from .fleet import FleetService, ShardRouter, process_one_retrain
+from .escalation import (
+    EscalationItem,
+    EscalationQueue,
+    apply_annotations,
+    process_one_retrain,
+)
 from .jobs import (
     ESCALATION_KIND,
     RETRAIN_KIND,
@@ -56,7 +58,6 @@ from .replay import (
     ReplayEvent,
     ReplayReport,
     ReplayStream,
-    fault_wrapper_factory,
     replay,
 )
 from .service import DiagnosisService
@@ -75,7 +76,6 @@ __all__ = [
     "EscalationItem",
     "EscalationQueue",
     "FALLBACK_LABEL",
-    "FleetService",
     "Job",
     "JobQueue",
     "JobQueueError",
@@ -92,12 +92,10 @@ __all__ = [
     "RetryPolicy",
     "ServiceStats",
     "ServingError",
-    "ShardRouter",
     "StaleClaimError",
     "apply_annotations",
     "escalation_payload",
     "fallback_diagnosis",
-    "fault_wrapper_factory",
     "is_fallback",
     "item_from_payload",
     "process_one_retrain",

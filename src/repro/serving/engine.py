@@ -12,8 +12,8 @@ extractor→scaler→selector→model call.
 
 Backpressure is explicit: a full request queue either blocks the
 submitter or raises :class:`BackpressureError`, per the configured
-policy. A synchronous :meth:`MicroBatcher.diagnose_many` fast path skips
-the queue entirely for callers that already hold a batch.
+policy. Submission is the only way in, so every scored run goes through
+the same deadlines, retries and failure accounting.
 
 Reliability invariant (see :mod:`repro.serving.reliability`): **every
 accepted future resolves** — with a diagnosis, or with a typed error
@@ -181,38 +181,6 @@ class MicroBatcher:
                 req, exception=EngineClosedError("engine closed during submit")
             )
         return req.future
-
-    def diagnose_many(self, runs: Sequence[RunRecord]) -> list:
-        """Synchronous fast path: score an in-hand batch without queueing.
-
-        Large callers (archive scoring, backfills) already have their
-        batch; routing it through the queue would only add latency. Splits
-        into ``max_batch`` slices so one huge call cannot starve the
-        latency-sensitive queued traffic between slices.
-        """
-        if self._closed.is_set():
-            raise EngineClosedError("engine is closed")
-        # count requests at acceptance (as submit() does), not after scoring,
-        # so a failing batch leaves identical accounting on both paths
-        self.stats.record_request(len(runs))
-        results: list = []
-        for start in range(0, len(runs), self.max_batch):
-            chunk = list(runs[start : start + self.max_batch])
-            t0 = time.perf_counter()
-            try:
-                out = self.predict_fn(chunk)
-            except BaseException:
-                self.stats.record_failed_batch(len(chunk))
-                raise
-            n_out = len(out) if hasattr(out, "__len__") else -1
-            if n_out != len(chunk):
-                self.stats.record_failed_batch(len(chunk))
-                raise PredictionMismatchError(
-                    f"predict_fn returned {n_out} diagnoses for {len(chunk)} runs"
-                )
-            self.stats.record_batch(len(chunk), time.perf_counter() - t0)
-            results.extend(out)
-        return results
 
     def flush(self, timeout: float = 10.0) -> None:
         """Block until every accepted request has *resolved*.

@@ -12,11 +12,13 @@ budget instead of flooding them during a confusing burst.
 Drained, annotated items feed :func:`apply_annotations`, which folds the
 labels back into the framework (``ALBADross.absorb``) and publishes the
 refit model as the next registry version — closing the loop the paper
-runs offline.
+runs offline. With a durable :class:`~repro.serving.jobs.JobQueue` behind
+the queue, :func:`process_one_retrain` runs that cycle at-least-once.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -25,12 +27,25 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..active.stream import ThresholdController
 from ..core.framework import ALBADross, Diagnosis
 from ..telemetry.collector import RunRecord
+from .jobs import (
+    ESCALATION_KIND,
+    RETRAIN_KIND,
+    JobQueue,
+    escalation_payload,
+    item_from_payload,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .jobs import JobQueue
     from .registry import ModelRegistry, ModelVersion
 
-__all__ = ["EscalationItem", "EscalationQueue", "apply_annotations"]
+__all__ = [
+    "EscalationItem",
+    "EscalationQueue",
+    "apply_annotations",
+    "process_one_retrain",
+]
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -60,15 +75,16 @@ class EscalationQueue:
         this in-memory queue becomes the *front-end*: offers still park
         here (cheap, on the dispatcher thread), and
         :meth:`flush_to_store` moves them into durable ``escalation``
-        jobs that survive a process crash. The fleet flushes on shard
-        death and at shutdown; callers may flush on any cadence.
+        jobs that survive a process crash. The service flushes at
+        shutdown and before each retrain; callers may flush on any
+        cadence.
     """
 
     def __init__(
         self,
         controller: ThresholdController | None = None,
         maxlen: int = 256,
-        store: "JobQueue | None" = None,
+        store: JobQueue | None = None,
     ):
         if maxlen < 1:
             raise ValueError(f"maxlen must be >= 1, got {maxlen}")
@@ -135,14 +151,12 @@ class EscalationQueue:
 
         Each item becomes one at-least-once ``escalation`` job (see
         :mod:`repro.serving.jobs`); once enqueued it survives process
-        death and shard reroutes. Returns the number of jobs written.
+        death. Returns the number of jobs written.
         Raises :class:`RuntimeError` when the queue was built without a
         ``store``.
         """
         if self.store is None:
             raise RuntimeError("escalation queue was built without a store")
-        from .jobs import ESCALATION_KIND, escalation_payload
-
         flushed = 0
         for item in self.drain(n):
             self.store.enqueue(ESCALATION_KIND, escalation_payload(item))
@@ -201,3 +215,63 @@ def apply_annotations(
     if registry is not None:
         version = registry.publish(framework, tag=tag)
     return framework, version
+
+
+def process_one_retrain(
+    jobs: JobQueue,
+    registry: ModelRegistry,
+    annotator: Callable,
+    max_items: int | None = None,
+    worker: str = "retrainer",
+) -> ModelVersion | None:
+    """Claim and execute one durable ``retrain_publish`` job.
+
+    The at-least-once worker loop body: claim the retrain order, claim
+    every deliverable ``escalation`` job, annotate and absorb them into
+    the current registry framework, publish, then ack everything. Any
+    exception nacks every claim, so a crash mid-cycle redelivers the
+    whole batch to the next worker — no annotation is lost, at the price
+    of possibly labeling a run twice (idempotent for a deterministic
+    annotator, since ``absorb`` refits from the accumulated label set).
+
+    Returns the published version, or ``None`` when there was no retrain
+    order (or no escalations to learn from — the order is acked as a
+    no-op).
+    """
+    orders = jobs.claim(kinds=(RETRAIN_KIND,), n=1, worker=worker)
+    if not orders:
+        return None
+    order = orders[0]
+    limit = max_items if max_items is not None else 1_000_000
+    claims = jobs.claim(kinds=(ESCALATION_KIND,), n=limit, worker=worker)
+    try:
+        items = [item_from_payload(job.payload) for job in claims]
+        if not items:
+            jobs.ack(order.job_id, order.claim_token)
+            return None
+        framework, _ = registry.load("current")
+        _, version = apply_annotations(
+            framework,
+            items,
+            annotator,
+            registry=registry,
+            tag=order.payload.get("tag"),
+            warm=order.payload.get("warm"),
+        )
+        for job in claims:
+            jobs.ack(job.job_id, job.claim_token)
+        jobs.ack(order.job_id, order.claim_token)
+        return version
+    except BaseException as exc:
+        for job in claims:
+            try:
+                jobs.nack(job.job_id, job.claim_token, error=repr(exc))
+            except Exception:
+                # Lease already lapsed; redelivery covers the job itself,
+                # but leave a trace so operators can correlate the churn.
+                _LOG.debug("nack failed for %s; lease lapsed", job.job_id)
+        try:
+            jobs.nack(order.job_id, order.claim_token, error=repr(exc))
+        except Exception:
+            _LOG.debug("nack failed for order %s; lease lapsed", order.job_id)
+        raise

@@ -2,8 +2,8 @@
 
 The in-memory :class:`~repro.serving.escalation.EscalationQueue` loses
 its contents when the serving process dies — acceptable for one archive,
-not for a fleet that must never silently drop an annotation request or a
-retrain order. This module supplies the persistence layer: a
+not for a production service that must never silently drop an
+annotation request or a retrain order. This module supplies the persistence layer: a
 :class:`JobQueue` over one SQLite database (WAL mode, stdlib ``sqlite3``
 only) with the classic at-least-once state machine
 
@@ -33,11 +33,11 @@ only) with the classic at-least-once state machine
   stay inspectable until an operator ``requeue``\\ s or ``purge``\\ s
   them.
 
-Escalation items and retrain orders are the two job kinds the fleet
+Escalation items and retrain orders are the two job kinds the service
 ships through the queue (see :func:`escalation_payload` /
 :func:`item_from_payload` and
-:meth:`~repro.serving.fleet.FleetService.retrain_and_publish`), but the
-queue itself is payload-agnostic: any JSON-serializable dict rides.
+:meth:`~repro.serving.service.DiagnosisService.retrain_and_publish`), but
+the queue itself is payload-agnostic: any JSON-serializable dict rides.
 
 ``time_fn`` is injectable so lease-expiry tests don't sleep; the file
 format uses wall-clock seconds so concurrent *processes* sharing the
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import sqlite3
 import threading
 import time
@@ -378,9 +377,8 @@ class JobQueue:
     def requeue(self, job_id: int) -> Job:
         """DEAD/FAILED/CLAIMED → PENDING with a fresh attempt budget.
 
-        The operator action behind ``repro queue requeue`` and the
-        router's shard-death cleanup: an explicit requeue breaks any live
-        lease (the old token is fenced out) and zeroes ``attempts`` —
+        The operator action behind ``repro queue requeue``: an explicit
+        requeue breaks any live lease (the old token is fenced out) and zeroes ``attempts`` —
         the operator has presumably fixed whatever was killing the job.
         """
         with self._lock:
@@ -397,25 +395,6 @@ class JobQueue:
             )
             self._conn.commit()
             return self._get_locked(job_id)
-
-    def release(self, worker: str) -> int:
-        """Break every live lease held by ``worker``: CLAIMED → PENDING.
-
-        The fleet router calls this when it declares a shard dead, so the
-        shard's in-flight jobs redeliver immediately instead of waiting
-        out the visibility timeout. Attempts are preserved (this is a
-        reroute, not a failure). Returns the number of jobs released.
-        """
-        now = self._time()
-        with self._lock:
-            cur = self._conn.execute(
-                "UPDATE jobs SET state = ?, claim_token = NULL,"
-                " claim_worker = NULL, visibility_deadline = NULL,"
-                " updated_at = ? WHERE state = ? AND claim_worker = ?",
-                (JobState.PENDING, now, JobState.CLAIMED, worker),
-            )
-            self._conn.commit()
-            return cur.rowcount
 
     def purge(self, states: Iterable[str] = (JobState.DONE,)) -> int:
         """Delete rows in the given states; returns the count removed."""
@@ -620,8 +599,3 @@ def item_from_payload(payload: dict) -> "EscalationItem":
         threshold=payload["threshold"],
     )
 
-
-# PID-tagged default worker name, so `release(worker=...)` from a fleet
-# router never breaks a sibling process's leases by accident
-def default_worker_name(prefix: str = "worker") -> str:
-    return f"{prefix}-pid{os.getpid()}"

@@ -51,7 +51,7 @@ __all__ = [
     "sync_wait_s",
 ]
 
-# Synchronous fast paths (service/fleet ``diagnose``) derive their wait
+# The synchronous ``DiagnosisService.diagnose`` derives its wait
 # bound from these: the engine's request TTL plus a grace period for the
 # batch actually being scored, or a generous flat default when no TTL is
 # configured. Nothing in the serving stack waits forever.

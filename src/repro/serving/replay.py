@@ -1,28 +1,28 @@
-"""Deterministic Eclipse-scale replay harness for the serving fleet.
+"""Deterministic Eclipse-scale replay harness for the serving path.
 
 The paper's production system (Eclipse) is 1488 compute nodes emitting
-telemetry at 1 Hz. This module replays that shape against any serving
-front-end — a single :class:`~repro.serving.service.DiagnosisService` or
-a sharded :class:`~repro.serving.fleet.FleetService` — deterministically:
+telemetry at 1 Hz. This module replays that shape against a
+:class:`~repro.serving.service.DiagnosisService` (or anything with a
+``submit(run) -> Future``), deterministically:
 
 * a :class:`ReplayStream` expands a small pool of template runs into a
   per-tick event schedule over ``n_nodes`` synthetic node ids, with the
   emitting nodes and template choices drawn from per-tick
   ``numpy`` seed streams, so two arms replay the *identical* event
-  sequence (the fleet-vs-serial parity tests depend on this);
+  sequence (the replay parity tests depend on this);
 * :func:`replay` drives the events through ``submit()`` (as a live
   monitoring pipeline would), timestamps every future at completion, and
   reports sustained runs/sec plus p50/p99 end-to-end latency and a typed
   failure census — every accepted future resolves, so the census is
-  exhaustive;
-* :func:`fault_wrapper_factory` adapts seeded
-  :class:`~repro.testing.faults.FaultPlan` schedules to the fleet's
-  per-shard ``predict_wrapper_factory`` hook, which is how the benchmark
-  replays stalls, hangs, and crashes against individual shards.
+  exhaustive.
 
-The stream replays *as fast as the engines absorb it* rather than in
+Faults go in through the service's ``predict_wrapper`` hook: wrap the
+scorer in a :class:`~repro.testing.faults.FaultInjector` to replay
+seeded stalls, hangs and crashes.
+
+The stream replays *as fast as the engine absorbs it* rather than in
 wall-clock 1 Hz pacing: the number the capacity question needs is how
-many node-seconds of telemetry the fleet can sustain per second of
+many node-seconds of telemetry the service can sustain per second of
 compute, which only shows up under saturation.
 """
 
@@ -30,14 +30,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..telemetry.collector import RunRecord
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..testing.faults import FaultPlan
 
 __all__ = [
     "ECLIPSE_NODES",
@@ -45,7 +42,6 @@ __all__ = [
     "ReplayStream",
     "ReplayReport",
     "replay",
-    "fault_wrapper_factory",
 ]
 
 ECLIPSE_NODES = 1488
@@ -72,7 +68,7 @@ class ReplayStream:
         routing and cache behavior — are per-node, while the telemetry
         content stays drawn from a realistic pool.
     n_nodes:
-        Fleet size; defaults to Eclipse's 1488.
+        Compute nodes in the system; defaults to Eclipse's 1488.
     ticks:
         Synthetic seconds of 1 Hz stream to schedule.
     emit_per_tick:
@@ -167,21 +163,18 @@ class ReplayReport:
 def replay(
     service,
     stream: ReplayStream,
-    probe_between_ticks: bool = False,
     on_tick: Callable[[int], None] | None = None,
     result_timeout_s: float = 60.0,
     keep_diagnoses: bool = False,
 ) -> ReplayReport:
     """Drive a stream through ``service.submit`` and census the outcome.
 
-    ``service`` is anything with ``submit(run) -> Future`` — a single
-    :class:`DiagnosisService` or a :class:`FleetService`. Latency is
+    ``service`` is anything with ``submit(run) -> Future``, such as a
+    :class:`~repro.serving.service.DiagnosisService`. Latency is
     measured per request from submit to future completion (the number a
     node's monitoring agent would see). ``on_tick(tick)`` fires before
-    each tick — the chaos hook benchmarks use to kill shards mid-replay —
-    and ``probe_between_ticks`` additionally runs the fleet's health
-    sweep so reroutes happen at tick granularity, as a control loop
-    would.
+    each tick — the chaos hook benchmarks use to restart the dispatcher
+    mid-replay.
 
     Every accepted future resolves (the engine invariant), so
     ``n_ok + n_failed == n_events`` — nothing is silently lost.
@@ -195,8 +188,6 @@ def replay(
             current_tick = event.tick
             if on_tick is not None:
                 on_tick(current_tick)
-            if probe_between_ticks and hasattr(service, "probe"):
-                service.probe()
         report.n_events += 1
         t_submit = time.perf_counter()
         box: list[float] = []
@@ -236,31 +227,3 @@ def replay(
         report.p50_ms = float(np.percentile(lat_ms, 50))
         report.p99_ms = float(np.percentile(lat_ms, 99))
     return report
-
-
-def fault_wrapper_factory(
-    plans: dict, hang_limit_s: float = 5.0
-) -> Callable:
-    """Adapt per-shard :class:`FaultPlan` schedules to the fleet hook.
-
-    ``plans`` maps ``shard_id -> FaultPlan``; shards without a plan serve
-    clean. The returned factory plugs into
-    :class:`~repro.serving.fleet.FleetService`'s
-    ``predict_wrapper_factory`` and exposes the built injectors on its
-    ``injectors`` attribute so tests can release hangs and read fault
-    logs.
-    """
-    from ..testing.faults import FaultInjector
-
-    injectors: dict = {}
-
-    def factory(shard_id: int):
-        plan: "FaultPlan | None" = plans.get(shard_id)
-        if plan is None:
-            return None
-        injector = FaultInjector(plan, hang_limit_s=hang_limit_s)
-        injectors[shard_id] = injector
-        return injector.wrap
-
-    factory.injectors = injectors  # type: ignore[attr-defined]
-    return factory

@@ -29,7 +29,13 @@ from ..core.framework import ALBADross, Diagnosis
 from ..core.persistence import run_fingerprint
 from ..telemetry.collector import RunRecord
 from .engine import MicroBatcher
-from .escalation import EscalationItem, EscalationQueue, apply_annotations
+from .escalation import (
+    EscalationItem,
+    EscalationQueue,
+    apply_annotations,
+    process_one_retrain,
+)
+from .jobs import RETRAIN_KIND
 from .registry import ModelRegistry, ModelVersion
 from .reliability import (
     CircuitBreaker,
@@ -57,7 +63,10 @@ class DiagnosisService:
         LRU result-cache capacity in runs; ``0`` disables caching.
     escalation:
         Optional :class:`EscalationQueue`; omit to serve without an
-        annotation loop.
+        annotation loop. When the queue has a durable ``store``
+        (:class:`~repro.serving.jobs.JobQueue`), :meth:`stop` flushes
+        parked escalations into it and :meth:`retrain_and_publish` runs
+        the at-least-once job cycle.
     default_deadline_s:
         Optional per-request TTL forwarded to the engine; expired
         requests fail fast with
@@ -144,8 +153,10 @@ class DiagnosisService:
     def stop(self) -> None:
         """Drain in-flight requests and shut the engine down.
 
-        Idempotent: stopping a stopped (or never-started) service is a
-        no-op, so shutdown paths may overlap without errors.
+        With a durable escalation store, escalations still parked once
+        the engine has drained are flushed into it, so none dies with
+        the process. Idempotent: stopping a stopped (or never-started)
+        service is a no-op, so shutdown paths may overlap without errors.
         """
         if self._watchdog is not None:
             self._watchdog.stop()
@@ -153,6 +164,8 @@ class DiagnosisService:
         if self._engine is not None:
             self._engine.close()
             self._engine = None
+        if self.escalation is not None and self.escalation.store is not None:
+            self.escalation.flush_to_store()
 
     def __enter__(self) -> "DiagnosisService":
         if self._engine is None:
@@ -207,29 +220,6 @@ class DiagnosisService:
             raise DeadlineExceeded(
                 f"diagnose() result did not arrive within {wait_s:.1f}s"
             ) from None
-
-    def diagnose_many(self, runs: Sequence[RunRecord]) -> list[Diagnosis]:
-        """Synchronous bulk fast path with cache short-circuiting.
-
-        Request/cache-hit accounting is identical to the :meth:`submit`
-        path: every run counts one request at acceptance, every cache hit
-        counts one hit — so snapshots from either path agree.
-        """
-        engine = self._require_engine()
-        results: list[Diagnosis | None] = [None] * len(runs)
-        misses: list[int] = []
-        for i, run in enumerate(runs):
-            cached = self._cache_get(run)
-            if cached is not None:
-                results[i] = cached
-                self.stats.record_request()
-            else:
-                misses.append(i)
-        if misses:
-            fresh = engine.diagnose_many([runs[i] for i in misses])
-            for i, diagnosis in zip(misses, fresh):
-                results[i] = diagnosis
-        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     def health(self) -> dict:
@@ -314,21 +304,36 @@ class DiagnosisService:
         ``warm`` routes the refit through the framework's incremental
         path (``None`` defers to its config); a retrain that actually ran
         warm shows up as ``warm_refits`` in the service stats.
+
+        With a durable escalation store the cycle is at-least-once:
+        parked escalations flush to ``escalation`` jobs, a
+        ``retrain_publish`` order carrying ``tag`` and ``warm`` is
+        enqueued, and :func:`~repro.serving.escalation.process_one_retrain`
+        executes it on the registry's current version. A crash anywhere
+        before its final ack leaves every job claimable again.
         """
         if self.escalation is None:
             raise RuntimeError("service was built without an escalation queue")
-        items = self.escalation.drain(max_items)
-        if not items:
-            return None
-        with self._swap_lock:
-            framework = self._framework
-        framework.last_absorb_warm = False  # absorb may be skipped entirely
-        _, version = apply_annotations(
-            framework, items, annotator, registry=self.registry, tag=tag,
-            warm=warm,
-        )
-        if getattr(framework, "last_absorb_warm", False):
-            self.stats.record_warm_refit()
+        store = self.escalation.store
+        if store is not None:
+            self.escalation.flush_to_store()
+            store.enqueue(RETRAIN_KIND, {"tag": tag, "warm": warm})
+            version = process_one_retrain(
+                store, self.registry, annotator, max_items=max_items
+            )
+        else:
+            items = self.escalation.drain(max_items)
+            if not items:
+                return None
+            with self._swap_lock:
+                framework = self._framework
+            framework.last_absorb_warm = False  # absorb may be skipped entirely
+            _, version = apply_annotations(
+                framework, items, annotator, registry=self.registry, tag=tag,
+                warm=warm,
+            )
+            if getattr(framework, "last_absorb_warm", False):
+                self.stats.record_warm_refit()
         if version is not None and adopt:
             self.swap(version.version_id)
         return version

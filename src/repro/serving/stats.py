@@ -138,51 +138,3 @@ class ServiceStats:
                 "failed_batches": self._failed_batches,
                 "failed_requests": self._failed_requests,
             }
-
-    @staticmethod
-    def merge(snapshots: list[dict]) -> dict:
-        """Aggregate several :meth:`snapshot` dicts (the fleet view).
-
-        Counters sum, histograms merge, means re-derive from the merged
-        totals, and the max latency is the max across shards.
-        """
-        merged = {
-            "requests": 0,
-            "cache_hits": 0,
-            "escalations": 0,
-            "batches": 0,
-            "batch_size_histogram": {},
-            "model_swaps": 0,
-            "warm_refits": 0,
-            "retries": 0,
-            "deadline_drops": 0,
-            "watchdog_restarts": 0,
-            "degraded_responses": 0,
-            "escalations_forced": 0,
-            "escalations_refused": 0,
-            "failed_batches": 0,
-            "failed_requests": 0,
-        }
-        latency_sum = 0.0
-        latency_max = 0.0
-        for snap in snapshots:
-            for key in merged:
-                if key == "batch_size_histogram":
-                    for size, n in snap.get(key, {}).items():
-                        size = int(size)
-                        merged[key][size] = merged[key].get(size, 0) + n
-                else:
-                    merged[key] += snap.get(key, 0)
-            latency_sum += snap.get("mean_batch_latency_s", 0.0) * snap.get(
-                "batches", 0
-            )
-            latency_max = max(latency_max, snap.get("max_batch_latency_s", 0.0))
-        batches = merged["batches"]
-        scored = sum(s * n for s, n in merged["batch_size_histogram"].items())
-        merged["batch_size_histogram"] = dict(
-            sorted(merged["batch_size_histogram"].items())
-        )
-        merged["mean_batch_size"] = scored / batches if batches else 0.0
-        merged["mean_batch_latency_s"] = latency_sum / batches if batches else 0.0
-        merged["max_batch_latency_s"] = latency_max
-        return merged

@@ -6,7 +6,8 @@ byte-for-byte the forest a fresh final fit gives, inside a pickled
 framework too. Binned and warm-start learns keep their own final fit.
 Likewise the learner starts from ``fit_initial``'s model instead of fitting
 the same seed forest again, with the same queries and predictions as a
-learner that fits its own, and without ever mutating that model.
+learner that fits its own, and without ever mutating that model. A learn
+that makes no query keeps ``fit_initial``'s model as its final one.
 """
 
 import pickle
@@ -126,6 +127,57 @@ def test_learn_leaves_the_seed_model_intact(catalog, split, monkeypatch, config)
     fw.learn(pool, [r.label for r in pool], val, [r.label for r in val])
     assert fw.model is not seed_model
     assert pickle.dumps(seed_model) == before
+
+
+@pytest.mark.parametrize(
+    "stop", [{"max_queries": 0}, {"target_f1": 0.01}], ids=["no-budget", "target-met"]
+)
+@pytest.mark.parametrize("config", [{}, {"splitter": "hist"}], ids=["exact", "hist"])
+def test_learn_without_a_query_keeps_the_seed_model(
+    catalog, split, monkeypatch, stop, config
+):
+    seed, pool, val = split
+    fw = ALBADross(catalog, FrameworkConfig(
+        feature_method="mvts", n_features=12, model_params={"n_estimators": 5},
+        random_state=0, **stop, **config,
+    ))
+    fw.fit_features(seed + pool)
+    fw.fit_initial(seed, [r.label for r in seed])
+    seed_model = fw.model
+    before = pickle.dumps(seed_model)
+    fits = []
+    inner = RandomForestClassifier.fit
+
+    def counting_fit(self, X, y):
+        fits.append(len(y))
+        return inner(self, X, y)
+
+    monkeypatch.setattr(RandomForestClassifier, "fit", counting_fit)
+    result = fw.learn(pool, [r.label for r in pool], val, [r.label for r in val])
+    monkeypatch.undo()
+    assert result.oracle.history == []
+    assert fw.model is seed_model
+    assert fw.model.classes_.dtype == fw._y_seed.dtype
+    assert pickle.dumps(fw.model) == before
+    if not config:  # the plain-fit learner adopts the seed model: no fit at all
+        assert fits == []
+
+
+def test_learn_without_a_query_after_tune_refits_on_the_seed(catalog, split):
+    """``tune`` changes the params, so fit_initial's model is stale: the
+    final model is a fresh fit on the seed rows, with their label dtype."""
+    seed, pool, val = split
+    fw = ALBADross(catalog, FrameworkConfig(
+        feature_method="mvts", n_features=12, max_queries=0,
+        model_params={"n_estimators": 5}, random_state=0,
+    ))
+    fw.fit_features(seed + pool)
+    fw.fit_initial(seed, [r.label for r in seed])
+    stale = fw.model
+    fw._seed_model = None  # what tune() leaves behind
+    fw.learn(pool, [r.label for r in pool], val, [r.label for r in val])
+    assert fw.model is not stale
+    assert fw.model.classes_.dtype == fw._y_seed.dtype
 
 
 def test_learner_takes_an_initial_model_only_on_the_plain_fit_path():

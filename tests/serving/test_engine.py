@@ -62,23 +62,36 @@ class TestCoalescing:
             labels = [f.result(timeout=5.0) for f in futures]
         assert [d.label for d in labels] == [f"r{i}" for i in range(10)]
 
-    def test_diagnose_many_fast_path_chunks(self):
-        model = CountingModel()
+    def test_queued_backlog_splits_at_max_batch(self):
+        """A backlog larger than max_batch is scored in max_batch slices."""
+        gate = threading.Event()
+        model = CountingModel(gate=gate)
         with MicroBatcher(model, max_batch=8) as engine:
-            out = engine.diagnose_many(list(range(20)))
+            sentinel = engine.submit(object())
+            assert model.started.wait(5.0)
+            futures = [engine.submit(object()) for _ in range(20)]
+            gate.set()
+            sentinel.result(timeout=5.0)
+            out = [f.result(timeout=5.0) for f in futures]
         assert len(out) == 20
-        assert model.calls == [8, 8, 4]
+        assert model.calls == [1, 8, 8, 4]
 
     def test_stats_record_batches(self):
         stats = ServiceStats()
-        model = CountingModel()
+        gate = threading.Event()
+        model = CountingModel(gate=gate)
         with MicroBatcher(model, max_batch=8, stats=stats) as engine:
-            engine.diagnose_many(list(range(20)))
+            sentinel = engine.submit(object())
+            assert model.started.wait(5.0)
+            futures = [engine.submit(object()) for _ in range(20)]
+            gate.set()
+            for future in [sentinel, *futures]:
+                future.result(timeout=5.0)
         snap = stats.snapshot()
-        assert snap["requests"] == 20
-        assert snap["batches"] == 3
-        assert snap["batch_size_histogram"] == {4: 1, 8: 2}
-        assert snap["mean_batch_size"] == pytest.approx(20 / 3)
+        assert snap["requests"] == 21
+        assert snap["batches"] == 4
+        assert snap["batch_size_histogram"] == {1: 1, 4: 1, 8: 2}
+        assert snap["mean_batch_size"] == pytest.approx(21 / 4)
         assert snap["mean_batch_latency_s"] >= 0.0
 
 
@@ -106,8 +119,6 @@ class TestBackpressure:
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
             engine.submit(object())
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.diagnose_many([object()])
 
     def test_close_drains_pending_requests(self):
         model = CountingModel()
@@ -171,15 +182,6 @@ class TestFailurePropagation:
             with pytest.raises(PredictionMismatchError):
                 engine.submit(object()).result(timeout=5.0)
 
-    def test_truncating_predict_raises_on_bulk_path(self):
-        def truncating(runs):
-            return [Diagnosis(label="ok", confidence=1.0) for _ in runs[:-1]]
-
-        with MicroBatcher(truncating, max_batch=4) as engine:
-            with pytest.raises(PredictionMismatchError):
-                engine.diagnose_many([object()] * 3)
-
-
     def test_scorer_exception_reaches_every_waiter(self):
         def boom(runs):
             raise ValueError("bad batch")
@@ -207,21 +209,21 @@ class TestFailurePropagation:
         assert snap["batches"] == 0
         assert snap["batch_size_histogram"] == {}
 
-    def test_failed_batches_counted_alike_on_both_paths(self):
+    def test_mismatched_batch_is_counted_as_failed(self):
         def truncating(runs):
             return [Diagnosis(label="ok", confidence=1.0) for _ in runs[:-1]]
 
-        queued, bulk = ServiceStats(), ServiceStats()
-        with MicroBatcher(truncating, max_batch=3, max_linger_s=5.0, stats=queued) as engine:
+        stats = ServiceStats()
+        with MicroBatcher(truncating, max_batch=3, max_linger_s=5.0, stats=stats) as engine:
             futures = [engine.submit(object()) for _ in range(3)]
             for future in futures:
                 with pytest.raises(PredictionMismatchError):
                     future.result(timeout=10.0)
-        with MicroBatcher(truncating, max_batch=3, stats=bulk) as engine:
-            with pytest.raises(PredictionMismatchError):
-                engine.diagnose_many([object()] * 3)
-        assert queued.snapshot() == bulk.snapshot()
-        assert bulk.snapshot()["failed_requests"] == 3
+        snap = stats.snapshot()
+        assert snap["requests"] == 3
+        assert snap["failed_batches"] == 1
+        assert snap["failed_requests"] == 3
+        assert snap["batches"] == 0
 
     def test_engine_survives_a_failing_batch(self):
         state = {"fail": True}

@@ -17,6 +17,11 @@ def _diag(confidence):
     return Diagnosis(label="healthy", confidence=confidence)
 
 
+def _serve(service, runs):
+    """Submit every run, then wait for all of them (one coalesced pass)."""
+    futures = [service.submit(run) for run in runs]
+    return [f.result(timeout=30.0) for f in futures]
+
 class TestQueue:
     def test_low_confidence_escalates(self):
         queue = EscalationQueue(ThresholdController(threshold=0.3, target_rate=None))
@@ -100,7 +105,7 @@ class TestClosedLoop:
         with DiagnosisService(
             registry, max_linger_s=0.01, escalation=escalation
         ) as service:
-            service.diagnose_many(corpus["pool"])
+            _serve(service, corpus["pool"])
             assert len(escalation) > 0
             assert service.stats.snapshot()["escalations"] == len(escalation)
             new_version = service.retrain_and_publish(
@@ -193,7 +198,7 @@ class TestWarmRetrain:
         with DiagnosisService(
             registry, max_linger_s=0.01, escalation=escalation
         ) as service:
-            service.diagnose_many(corpus["pool"][:6])
+            _serve(service, corpus["pool"][:6])
             assert len(escalation) > 0
             version = service.retrain_and_publish(
                 annotator=lambda item: item.run.label, warm=True
@@ -213,7 +218,7 @@ class TestWarmRetrain:
         with DiagnosisService(
             registry, max_linger_s=0.01, escalation=escalation
         ) as service:
-            service.diagnose_many(corpus["pool"][:4])
+            _serve(service, corpus["pool"][:4])
             version = service.retrain_and_publish(
                 annotator=lambda item: item.run.label, warm=False
             )
@@ -235,13 +240,3 @@ class TestWarmRetrain:
         pool = corpus["pool"][:2]
         fw.absorb(pool, [r.label for r in pool], warm=True)
         assert fw.last_absorb_warm is False
-
-    def test_warm_snapshot_merges_across_shards(self):
-        from repro.serving.stats import ServiceStats
-
-        a, b = ServiceStats(), ServiceStats()
-        a.record_warm_refit()
-        a.record_warm_refit()
-        b.record_warm_refit()
-        merged = ServiceStats.merge([a.snapshot(), b.snapshot()])
-        assert merged["warm_refits"] == 3

@@ -191,20 +191,6 @@ class TestOperatorActions:
         with pytest.raises(JobQueueError):
             queue.requeue(c.job_id)
 
-    def test_release_breaks_only_that_workers_leases(self, queue):
-        queue.enqueue("work", {"n": 0})
-        queue.enqueue("work", {"n": 1})
-        a = queue.claim(worker="shard-0")[0]
-        b = queue.claim(worker="shard-1")[0]
-        assert queue.release("shard-0") == 1
-        assert queue.get(a.job_id).state == JobState.PENDING
-        assert queue.get(b.job_id).state == JobState.CLAIMED
-        # released jobs are immediately claimable; old lease is fenced
-        re = queue.claim(worker="shard-1")
-        assert [j.job_id for j in re] == [a.job_id]
-        with pytest.raises(StaleClaimError):
-            queue.ack(a.job_id, a.claim_token)
-
     def test_purge(self, queue):
         queue.enqueue("work", {})
         c = queue.claim()[0]

@@ -88,44 +88,3 @@ class TestFailedBatches:
         assert snap["batches"] == 0
         stats.reset()
         assert stats.snapshot()["failed_requests"] == 0
-
-    def test_merge_sums_failed_batches(self):
-        a, b = ServiceStats(), ServiceStats()
-        a.record_failed_batch(9)
-        b.record_failed_batch(1)
-        b.record_batch(4, 0.1)
-        merged = ServiceStats.merge([a.snapshot(), b.snapshot()])
-        assert merged["failed_batches"] == 2
-        assert merged["failed_requests"] == 10
-        assert merged["batches"] == 1
-
-
-class TestMerge:
-    def test_merge_sums_counters_and_rederives_means(self):
-        a, b = ServiceStats(), ServiceStats()
-        a.record_request(2)
-        a.record_batch(4, 0.2)
-        a.record_cache_hit()
-        b.record_request(3)
-        b.record_batch(2, 0.6)
-        b.record_batch(2, 0.4)
-        merged = ServiceStats.merge([a.snapshot(), b.snapshot()])
-        assert merged["requests"] == 5
-        assert merged["cache_hits"] == 1
-        assert merged["batches"] == 3
-        assert merged["batch_size_histogram"] == {2: 2, 4: 1}
-        assert merged["mean_batch_size"] == pytest.approx(8 / 3)
-        assert merged["mean_batch_latency_s"] == pytest.approx(0.4)
-        assert merged["max_batch_latency_s"] == pytest.approx(0.6)
-
-    def test_merge_of_nothing_is_zeroed(self):
-        merged = ServiceStats.merge([])
-        assert merged["requests"] == 0
-        assert merged["batch_size_histogram"] == {}
-
-    def test_merge_single_snapshot_is_identity(self):
-        stats = ServiceStats()
-        stats.record_request(7)
-        stats.record_batch(7, 0.1)
-        snap = stats.snapshot()
-        assert ServiceStats.merge([snap]) == snap

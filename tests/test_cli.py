@@ -39,6 +39,29 @@ class TestRunsIO:
         assert all(r.anomaly is None for r in back)
         assert all(r.label == "healthy" for r in back)
 
+    def test_archive_holds_no_object_array(self, tiny_config, tmp_path):
+        path = save_runs(generate_runs(tiny_config, rng=0)[:2], tmp_path / "r.npz")
+        with np.load(path, allow_pickle=False) as z:
+            assert all(z[key].dtype != object for key in z.files)
+
+    def test_object_array_is_refused(self, tiny_config, tmp_path):
+        """A pickled member could run code on load: never unpickle one."""
+        runs = generate_runs(tiny_config, rng=0)[:2]
+        path = tmp_path / "crafted.npz"
+        np.savez_compressed(
+            path,
+            data=np.stack([r.data for r in runs]),
+            app=np.array([r.app for r in runs]),
+            input_deck=np.array([r.input_deck for r in runs]),
+            node_count=np.array([r.node_count for r in runs]),
+            node_id=np.array([r.node_id for r in runs]),
+            anomaly=np.array([r.anomaly or "" for r in runs]),
+            intensity=np.array([r.intensity for r in runs]),
+            metric_names=np.array(runs[0].metric_names, dtype=object),
+        )
+        with pytest.raises(ValueError, match="object \\(pickled\\) array"):
+            load_runs(path)
+
 
 class TestParser:
     def test_requires_command(self):
