@@ -22,6 +22,10 @@ Measures the PR's two claims and records them in
   metric columns the selected features read, vs the full extract ->
   scale -> select oracle; bit-identical outputs asserted and the speedup
   gated >= 3x at smoke scale.
+* read-set diagnosis (``diagnose_read_set``): ``ALBADross.diagnose`` on
+  a TSFRESH forest, which extracts only the selected features the trees
+  split on, vs the k-wide ``featurize`` -> ``predict_features`` path;
+  bit-identical diagnoses asserted, timings recorded, no speedup gate.
 
 Timing protocol mirrors ``test_perf_train_core.py``: this box throttles
 under sustained load, so competing configs are *interleaved* and each
@@ -382,6 +386,91 @@ class TestFeaturizePushdown:
                 f"pushdown featurize only {speedup:.2f}x the full extract "
                 "on a serving-shaped batch"
             )
+
+
+class TestDiagnoseReadSet:
+    """Read-set diagnosis vs the k-wide path it replaced.
+
+    The model is ``campaign_volta``'s (Volta at scale 0.05, TSFRESH,
+    k=500, 16 trees of depth 8), fit on that campaign's seed runs, and
+    each call diagnoses five held-out runs, the campaign's call size.
+    The k-wide arm is what ``diagnose`` did before: ``featurize`` every
+    selected feature, then ``predict_features``. The read-set arm is
+    ``diagnose``, which extracts only the features the forest splits on
+    and zero-fills the rest. Arms alternate order across reps.
+    """
+
+    REPS = REPS if SMOKE else 20
+    BATCH = 5
+
+    def test_diagnose_read_set(self):
+        from repro.datasets.volta import volta_config
+
+        system = volta_config(
+            scale=0.05, n_healthy_per_app_input=1, n_anomalous_per_app_anomaly=2
+        )
+        runs = generate_runs(system, rng=1)
+        rng = np.random.default_rng(1)
+        order = rng.permutation(len(runs))
+        seen, seed_runs, held_out = set(), [], []
+        for i in order:
+            key = (runs[i].app, runs[i].label)
+            (held_out if key in seen else seed_runs).append(runs[i])
+            seen.add(key)
+        framework = ALBADross(system.catalog, FrameworkConfig(
+            feature_method="tsfresh",
+            model_params={"n_estimators": 16, "max_depth": 8},
+        ))
+        framework.fit_features(runs)
+        framework.fit_initial(seed_runs, [r.label for r in seed_runs])
+        batches = [
+            held_out[i:i + self.BATCH]
+            for i in range(0, len(held_out) - self.BATCH + 1, self.BATCH)
+        ]
+
+        def wide() -> list:
+            return [framework.predict_features(framework.featurize(b)) for b in batches]
+
+        def read_set() -> list:
+            return [framework.diagnose(b) for b in batches]
+
+        arms = {"wide": wide, "read_set": read_set}
+        times: dict[str, list[float]] = {name: [] for name in arms}
+        results: dict[str, list] = {}
+        for rep in range(self.REPS):
+            names = ("wide", "read_set") if rep % 2 == 0 else ("read_set", "wide")
+            for arm in names:
+                t0 = time.perf_counter()
+                results[arm] = arms[arm]()
+                times[arm].append((time.perf_counter() - t0) / len(batches))
+        # zero-filling what no tree reads must not move a single bit
+        assert results["read_set"] == results["wide"]
+        med = {name: float(np.median(ts)) for name, ts in times.items()}
+        support = framework.selector.support_
+        read = support[framework.model.split_features_]
+        plans = {"wide": framework.extractor.plan(support),
+                 "read_set": framework.extractor.plan(read)}
+        payload = {
+            "n_runs_per_call": self.BATCH,
+            "n_calls": len(batches),
+            "n_metrics": len(system.catalog),
+            "k_features": int(len(support)),
+            "read_features": int(len(read)),
+            "columns": {name: int(len(p.columns)) for name, p in plans.items()},
+            "cells": {name: int(sum(len(g) for g in p.groups)) for name, p in plans.items()},
+            "reps": self.REPS,
+            "wide_s_per_call": round(med["wide"], 5),
+            "read_set_s_per_call": round(med["read_set"], 5),
+            "speedup": round(med["wide"] / med["read_set"], 2),
+            "bit_identical": True,
+            "note": (
+                "diagnose extracts and scales only the selected features "
+                "the forest splits on and zero-fills the other columns, "
+                "which no tree compares; the speedup tracks the share of "
+                "(column, statistic group) cells the read set drops"
+            ),
+        }
+        _update_results("diagnose_read_set", payload)
 
 
 class TestBaselineGate:

@@ -183,6 +183,18 @@ def _config_for(args) -> "SystemConfig":
     return maker(**kwargs)
 
 
+def _read_runs(path: Path) -> list | None:
+    """The runs of archive ``path``, or None once the reason
+    :func:`~repro.datasets.runs_io.load_runs` refused it is printed."""
+    from .datasets.runs_io import load_runs
+
+    try:
+        return load_runs(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_collect(args) -> int:
     from .datasets import generate_runs
     from .datasets.runs_io import save_runs
@@ -200,9 +212,10 @@ def _cmd_collect(args) -> int:
 
 def _cmd_train(args) -> int:
     from .core import ALBADross, FrameworkConfig, save_framework
-    from .datasets.runs_io import load_runs
 
-    runs = load_runs(args.runs)
+    runs = _read_runs(args.runs)
+    if runs is None:
+        return 2
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(runs))
     seed_runs, pool_runs, val_runs = [], [], []
@@ -256,10 +269,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from .core import load_framework
-    from .datasets.runs_io import load_runs
 
     framework = load_framework(args.model)
-    runs = load_runs(args.runs)
+    runs = _read_runs(args.runs)
+    if runs is None:
+        return 2
     if args.limit is not None:
         runs = runs[: args.limit]
     for run, diag in zip(runs, framework.diagnose(runs)):
@@ -270,7 +284,6 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from .core import load_framework
-    from .datasets.runs_io import load_runs
     from .mlcore import (
         anomaly_miss_rate,
         classification_report,
@@ -279,7 +292,9 @@ def _cmd_evaluate(args) -> int:
     )
 
     framework = load_framework(args.model)
-    runs = load_runs(args.runs)
+    runs = _read_runs(args.runs)
+    if runs is None:
+        return 2
     truth = np.array([r.label for r in runs])
     pred = np.array([d.label for d in framework.diagnose(runs)])
     print(f"macro F1          : {f1_score(truth, pred):.3f}")
@@ -356,7 +371,6 @@ def _cmd_registry(args) -> int:
 
 
 def _cmd_serve_batch(args) -> int:
-    from .datasets.runs_io import load_runs
     from .serving import (
         CircuitBreaker,
         DiagnosisService,
@@ -368,7 +382,9 @@ def _cmd_serve_batch(args) -> int:
         ServingError,
     )
 
-    runs = load_runs(args.runs)
+    runs = _read_runs(args.runs)
+    if runs is None:
+        return 2
     if args.limit is not None:
         runs = runs[: args.limit]
     if args.retrain and not args.escalate:

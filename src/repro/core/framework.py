@@ -382,10 +382,26 @@ class ALBADross:
         ]
 
     def diagnose(self, runs: Sequence[RunRecord]) -> list[Diagnosis]:
-        """Deployment-time diagnosis: label + confidence for each run."""
+        """Deployment-time diagnosis: label + confidence for each run.
+
+        Extracts and scales only what the model reads: for a forest, the
+        selected features its trees split on (``split_features_``). The
+        other columns of the k-wide matrix are zero-filled, since no tree
+        compares them, so the diagnoses are bit-identical to
+        ``predict_features(featurize(runs))``. Other models, and a forest
+        that never split, read all k features and take that path. The
+        read set is derived from the fitted model on every call, so warm
+        refits, hot swaps and older pickles need nothing invalidated.
+        """
         if self.model is None:
             raise RuntimeError("framework is not trained")
-        return self.predict_features(self._featurize(runs))
+        read = getattr(self.model, "split_features_", None)
+        if self.selector is None or read is None or not len(read):
+            return self.predict_features(self._featurize(runs))
+        support = self.selector.support_
+        X = np.zeros((len(runs), len(support)))
+        X[:, read] = self._features(runs, support[read])
+        return self.predict_features(X)
 
     def absorb(
         self,

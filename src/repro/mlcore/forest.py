@@ -466,3 +466,16 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         model, complementing the per-run metric deviations.
         """
         return self._stk_importances.mean(axis=0)
+
+    @property
+    def split_features_(self) -> np.ndarray:
+        """Sorted indices of the features some tree splits on.
+
+        The union of the internal nodes' ``tree_feature_`` over
+        ``estimators_``: no other column can change what
+        :meth:`predict_proba` returns. Derived on each access, so it
+        follows :meth:`refit` and forests pickled before it existed.
+        """
+        return np.unique(np.concatenate(
+            [t.tree_feature_[t.tree_feature_ != _LEAF] for t in self.estimators_]
+        ))

@@ -223,7 +223,7 @@ def process_one_retrain(
     annotator: Callable,
     max_items: int | None = None,
     worker: str = "retrainer",
-) -> ModelVersion | None:
+) -> tuple[ModelVersion, bool] | None:
     """Claim and execute one durable ``retrain_publish`` job.
 
     The at-least-once worker loop body: claim the retrain order, claim
@@ -234,9 +234,10 @@ def process_one_retrain(
     of possibly labeling a run twice (idempotent for a deterministic
     annotator, since ``absorb`` refits from the accumulated label set).
 
-    Returns the published version, or ``None`` when there was no retrain
-    order (or no escalations to learn from — the order is acked as a
-    no-op).
+    Returns the published version and whether its refit ran warm (see
+    :meth:`ALBADross.absorb`), or ``None`` when nothing was published:
+    no retrain order, or no escalations to learn from (the order is
+    acked as a no-op), or none the annotator labeled.
     """
     orders = jobs.claim(kinds=(RETRAIN_KIND,), n=1, worker=worker)
     if not orders:
@@ -261,7 +262,8 @@ def process_one_retrain(
         for job in claims:
             jobs.ack(job.job_id, job.claim_token)
         jobs.ack(order.job_id, order.claim_token)
-        return version
+        # a published version means absorb ran and set last_absorb_warm
+        return None if version is None else (version, framework.last_absorb_warm)
     except BaseException as exc:
         for job in claims:
             try:

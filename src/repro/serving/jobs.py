@@ -463,17 +463,6 @@ class JobQueue:
             out[row["state"]] = int(row["n"])
         return out
 
-    def pending_count(self, kinds: Sequence[str] | None = None) -> int:
-        """Jobs that are deliverable now or will be (not DONE/DEAD)."""
-        kind_sql, kind_args = self._kind_filter(kinds)
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM jobs WHERE state IN (?, ?, ?)"
-                + kind_sql,
-                [JobState.PENDING, JobState.CLAIMED, JobState.FAILED, *kind_args],
-            ).fetchone()
-        return int(row["n"])
-
     def close(self) -> None:
         with self._lock:
             self._conn.close()

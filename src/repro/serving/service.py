@@ -318,9 +318,10 @@ class DiagnosisService:
         if store is not None:
             self.escalation.flush_to_store()
             store.enqueue(RETRAIN_KIND, {"tag": tag, "warm": warm})
-            version = process_one_retrain(
+            done = process_one_retrain(
                 store, self.registry, annotator, max_items=max_items
             )
+            version, ran_warm = (None, False) if done is None else done
         else:
             items = self.escalation.drain(max_items)
             if not items:
@@ -332,8 +333,9 @@ class DiagnosisService:
                 framework, items, annotator, registry=self.registry, tag=tag,
                 warm=warm,
             )
-            if getattr(framework, "last_absorb_warm", False):
-                self.stats.record_warm_refit()
+            ran_warm = framework.last_absorb_warm
+        if ran_warm:
+            self.stats.record_warm_refit()
         if version is not None and adopt:
             self.swap(version.version_id)
         return version

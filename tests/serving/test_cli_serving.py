@@ -1,5 +1,6 @@
 """End-to-end CLI tests for the serving commands and the console entry."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core import save_framework
+from repro.core import ALBADross, FrameworkConfig, save_framework
 from repro.datasets.runs_io import save_runs
 
 REPO = Path(__file__).resolve().parents[2]
@@ -234,6 +235,30 @@ class TestServeBatchJobsDb:
         assert counts[JobState.DONE] >= 2
         assert counts[JobState.PENDING] == counts[JobState.CLAIMED] == 0
         assert f"DONE={counts[JobState.DONE]}" in out
+
+    def test_jobs_db_retrain_reports_a_warm_refit(
+        self, tiny_config, corpus, tmp_path, capsys
+    ):
+        """The durable cycle absorbs into its own registry copy; the
+        service still counts the warm refit that copy ran."""
+        fw = ALBADross(tiny_config.catalog, FrameworkConfig(
+            n_features=30, model_params={"n_estimators": 5},
+            splitter="hist", warm_start=True,
+        ))
+        fw.fit_features(corpus["all"])
+        fw.fit_initial(corpus["train"], [r.label for r in corpus["train"]])
+        root = str(tmp_path / "registry")
+        assert main(["registry", "publish", "--root", root, "--model",
+                     str(save_framework(fw, tmp_path / "hist.pkl"))]) == 0
+        assert main([
+            "serve-batch", "--registry", root,
+            "--runs", str(save_runs(corpus["pool"], tmp_path / "pool.npz")),
+            "--jobs-db", str(tmp_path / "jobs.db"),
+            "--escalate", "--retrain", "--warm-start",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "retrained (warm) and adopted v0002" in out
+        assert re.search(r"^  warm_refits +1$", out, re.MULTILINE)
 
     def test_jobs_db_on_empty_registry_fails_cleanly(
         self, artifacts, tmp_path, capsys

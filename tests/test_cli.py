@@ -8,6 +8,24 @@ from repro.datasets.generate import generate_runs
 from repro.datasets.runs_io import load_runs, save_runs
 
 
+def _object_array_archive(config, path):
+    """A run archive whose ``metric_names`` is an object (pickled) array,
+    as ``save_runs`` wrote them before it refused to."""
+    runs = generate_runs(config, rng=0)[:2]
+    np.savez_compressed(
+        path,
+        data=np.stack([r.data for r in runs]),
+        app=np.array([r.app for r in runs]),
+        input_deck=np.array([r.input_deck for r in runs]),
+        node_count=np.array([r.node_count for r in runs]),
+        node_id=np.array([r.node_id for r in runs]),
+        anomaly=np.array([r.anomaly or "" for r in runs]),
+        intensity=np.array([r.intensity for r in runs]),
+        metric_names=np.array(runs[0].metric_names, dtype=object),
+    )
+    return path
+
+
 class TestRunsIO:
     def test_roundtrip(self, tiny_config, tmp_path):
         runs = generate_runs(tiny_config, rng=0)[:8]
@@ -46,19 +64,7 @@ class TestRunsIO:
 
     def test_object_array_is_refused(self, tiny_config, tmp_path):
         """A pickled member could run code on load: never unpickle one."""
-        runs = generate_runs(tiny_config, rng=0)[:2]
-        path = tmp_path / "crafted.npz"
-        np.savez_compressed(
-            path,
-            data=np.stack([r.data for r in runs]),
-            app=np.array([r.app for r in runs]),
-            input_deck=np.array([r.input_deck for r in runs]),
-            node_count=np.array([r.node_count for r in runs]),
-            node_id=np.array([r.node_id for r in runs]),
-            anomaly=np.array([r.anomaly or "" for r in runs]),
-            intensity=np.array([r.intensity for r in runs]),
-            metric_names=np.array(runs[0].metric_names, dtype=object),
-        )
+        path = _object_array_archive(tiny_config, tmp_path / "crafted.npz")
         with pytest.raises(ValueError, match="object \\(pickled\\) array"):
             load_runs(path)
 
@@ -140,6 +146,55 @@ class TestCommands:
             "train", "--runs", str(path), "--out", str(tmp_path / "m.pkl"),
         ])
         assert code == 2
+
+
+class TestRefusedArchive:
+    """A ``--runs`` archive ``load_runs`` refuses ends the command with
+    one ``error:`` line and exit code 2, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tiny_config, tmp_path_factory):
+        from repro.core import ALBADross, FrameworkConfig, save_framework
+
+        root = tmp_path_factory.mktemp("refused")
+        runs = generate_runs(tiny_config, rng=0)
+        fw = ALBADross(tiny_config.catalog, FrameworkConfig(
+            n_features=10, model_params={"n_estimators": 2},
+        ))
+        fw.fit_features(runs)
+        fw.fit_initial(runs, [r.label for r in runs])
+        return {
+            "archive": str(_object_array_archive(tiny_config, root / "old.npz")),
+            "model": str(save_framework(fw, root / "model.pkl")),
+            "root": root,
+        }
+
+    def _refused(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "object (pickled) array" in err
+
+    def test_train(self, paths, capsys):
+        self._refused(["train", "--runs", paths["archive"],
+                       "--out", str(paths["root"] / "m.pkl")], capsys)
+
+    def test_diagnose(self, paths, capsys):
+        self._refused(["diagnose", "--model", paths["model"],
+                       "--runs", paths["archive"]], capsys)
+
+    def test_evaluate(self, paths, capsys):
+        self._refused(["evaluate", "--model", paths["model"],
+                       "--runs", paths["archive"]], capsys)
+
+    def test_serve_batch(self, paths, capsys):
+        self._refused(["serve-batch", "--registry", str(paths["root"] / "reg"),
+                       "--runs", paths["archive"]], capsys)
+
+    def test_missing_archive(self, paths, capsys):
+        assert main(["diagnose", "--model", paths["model"],
+                     "--runs", str(paths["root"] / "absent.npz")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestInfoEclipse:
