@@ -1,81 +1,25 @@
-"""Ablation — future-work query strategies and annotator noise.
+"""Ablation — annotator noise.
 
-Two extension studies beyond the paper's evaluation:
-
-* **Advanced strategies** (the paper's future-work direction): plain
-  uncertainty vs density-weighted uncertainty vs query-by-committee on the
-  Volta corpus. Density weighting should avoid outlier-chasing; QBC buys
-  model-space disagreement at a large training cost.
-* **Annotator noise**: the paper assumes a perfect annotator; here the
-  oracle returns a wrong label with probability p ∈ {0, 0.1, 0.3} and we
-  measure how the uncertainty strategy's final F1 degrades — the
-  deployment-risk number an operator would want.
+An extension study beyond the paper's evaluation: the paper assumes a
+perfect annotator; here the oracle returns a wrong label with probability
+p ∈ {0, 0.1, 0.3} and we measure how the uncertainty strategy's final F1
+degrades — the deployment-risk number an operator would want.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from conftest import make_preps, write_artifact
-from repro.active import (
-    ActiveLearner,
-    DensityWeightedUncertainty,
-    QueryByCommittee,
-    run_active_learning,
-)
+from repro.active import run_active_learning
 from repro.experiments import RF_PARAMS, format_table
-from repro.mlcore import RandomForestClassifier, f1_score
+from repro.mlcore import RandomForestClassifier
 
 N_QUERIES = 60
 
 
 def _model():
     return RandomForestClassifier(random_state=0, **RF_PARAMS)
-
-
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_advanced_strategies(benchmark):
-    prep = make_preps("volta", method="mvts", n_splits=1)[0]
-
-    def run():
-        scores = {}
-        for name in ("uncertainty", "density_weighted", "qbc"):
-            if name == "qbc":
-                strategy = QueryByCommittee(committee_size=3)
-            elif name == "density_weighted":
-                strategy = DensityWeightedUncertainty(beta=1.0)
-            else:
-                strategy = "uncertainty"
-            learner = ActiveLearner(
-                _model(), strategy, prep.X_seed, prep.y_seed, random_state=0
-            )
-            if name == "qbc":
-                strategy.bind_learner(learner)
-            alive = np.arange(len(prep.X_pool))
-            budget = N_QUERIES if name != "qbc" else 25  # QBC is costly
-            for _ in range(budget):
-                i = learner.query(prep.X_pool[alive])
-                orig = alive[i]
-                learner.teach(prep.X_pool[orig], prep.y_pool[orig])
-                alive = np.delete(alive, i)
-            scores[name] = (
-                f1_score(prep.y_test, learner.predict(prep.X_test)),
-                budget,
-            )
-        return scores
-
-    scores = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_artifact(
-        "ablation_advanced_strategies",
-        format_table(
-            ["strategy", "final F1", "queries"],
-            [[k, f"{v[0]:.3f}", v[1]] for k, v in scores.items()],
-        ),
-    )
-    # every strategy must land in the same performance neighbourhood
-    f1s = [v[0] for v in scores.values()]
-    assert max(f1s) - min(f1s) < 0.2
 
 
 @pytest.mark.benchmark(group="ablation")

@@ -6,16 +6,11 @@ Random / Equal App / Proctor baselines, and :func:`run_active_learning`,
 the experiment driver behind every curve in the paper's Sec. V.
 """
 
-from .advanced import (
-    DensityWeightedUncertainty,
-    QueryByCommittee,
-    information_density,
-)
 from .baselines import EqualAppSelector, ProctorModel, RandomSelector
 from .learner import ActiveLearner
 from .loop import ALResult, queries_to_reach, run_active_learning
 from .oracle import Oracle, QueryRecord
-from .stream import StreamActiveLearner, StreamDecision, ThresholdController
+from .stream import ThresholdController
 from .strategies import (
     STRATEGIES,
     entropy_sampling,
@@ -29,12 +24,7 @@ from .strategies import (
 
 __all__ = [
     "ALResult",
-    "DensityWeightedUncertainty",
-    "QueryByCommittee",
-    "StreamActiveLearner",
-    "StreamDecision",
     "ThresholdController",
-    "information_density",
     "ActiveLearner",
     "EqualAppSelector",
     "Oracle",

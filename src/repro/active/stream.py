@@ -4,9 +4,9 @@ The paper deploys *pool-based* sampling (Sec. III-D) because production
 telemetry arrives in bulk, but its related-work section lays out the
 stream alternative: samples arrive one at a time and the learner decides
 on the spot whether to spend an annotator query, against a pre-defined
-uncertainty threshold. This module implements that scenario — it is the
-natural online deployment mode for a monitoring pipeline, and the paper's
-own future-work direction of live deployment needs it.
+uncertainty threshold. The serving escalation queue
+(:mod:`repro.serving.escalation`) runs that scenario in production; this
+module holds its policy.
 
 The threshold self-tunes: a budget controller nudges it so the realized
 query rate tracks a target fraction (spend annotator time evenly instead
@@ -15,24 +15,18 @@ of exhausting it on the first confusing burst).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from ..mlcore.base import BaseEstimator, check_X_y, clone
-from .strategies import uncertainty_scores
-
-__all__ = ["StreamDecision", "StreamActiveLearner", "ThresholdController"]
+__all__ = ["ThresholdController"]
 
 
 @dataclass
 class ThresholdController:
     """Self-tuning uncertainty threshold with a query-rate budget.
 
-    The budget controller of this module, factored out so the serving
-    escalation queue (:mod:`repro.serving.escalation`) can reuse the exact
-    same policy: query when ``U(x) >= threshold``, then nudge the
-    threshold so the realized query rate tracks ``target_rate``.
+    Query when ``U(x) >= threshold``, then nudge the threshold so the
+    realized query rate tracks ``target_rate`` (``None`` keeps it fixed).
+    ``adapt_step`` is the multiplicative adjustment per observed sample.
     """
 
     threshold: float = 0.35
@@ -71,120 +65,3 @@ class ThresholdController:
     def query_rate(self) -> float:
         """Realized fraction of observed samples that were queried."""
         return self.n_queried / self.n_seen if self.n_seen else 0.0
-
-
-@dataclass(frozen=True)
-class StreamDecision:
-    """Outcome of one streamed sample: queried or passed, with the score."""
-
-    queried: bool
-    uncertainty: float
-    threshold: float
-    prediction: object
-
-
-@dataclass
-class StreamActiveLearner:
-    """Selective sampling over a sample stream with an adaptive threshold.
-
-    Parameters
-    ----------
-    estimator:
-        Prototype classifier; refit on the labeled set after each accepted
-        query (mirroring :class:`~repro.active.learner.ActiveLearner`).
-    threshold:
-        Initial uncertainty threshold: query when ``U(x) >= threshold``.
-    target_rate:
-        Desired long-run fraction of samples queried. ``None`` disables
-        adaptation (fixed threshold).
-    adapt_step:
-        Multiplicative threshold adjustment per observed sample.
-    refit_every:
-        Refit cadence in accepted queries.
-    """
-
-    estimator: BaseEstimator
-    threshold: float = 0.35
-    target_rate: float | None = 0.1
-    adapt_step: float = 0.02
-    refit_every: int = 1
-
-    _X: list = field(default_factory=list, repr=False)
-    _y: list = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        # the controller validates threshold/target_rate and owns adaptation
-        self._controller = ThresholdController(
-            threshold=self.threshold,
-            target_rate=self.target_rate,
-            adapt_step=self.adapt_step,
-        )
-        if self.refit_every < 1:
-            raise ValueError(f"refit_every must be >= 1, got {self.refit_every}")
-        self.n_seen = 0
-        self.n_queried = 0
-        self._pending = 0
-        self.model = None
-
-    # ------------------------------------------------------------------
-    def initialize(self, X_seed: np.ndarray, y_seed: np.ndarray) -> "StreamActiveLearner":
-        """Train the starting model on the labeled seed."""
-        X_seed, y_seed = check_X_y(X_seed, y_seed)
-        self._X = [row for row in X_seed]
-        self._y = list(y_seed)
-        self.model = clone(self.estimator)
-        self.model.fit(np.vstack(self._X), np.asarray(self._y))
-        return self
-
-    def observe(self, x: np.ndarray) -> StreamDecision:
-        """Score one streamed sample and decide whether to query its label.
-
-        Does *not* learn anything yet — call :meth:`feed_label` with the
-        annotator's answer when the decision was to query.
-        """
-        if self.model is None:
-            raise RuntimeError("call initialize() with the labeled seed first")
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        proba = self.model.predict_proba(x)
-        u = float(uncertainty_scores(proba)[0])
-        threshold_used = self._controller.threshold
-        queried = self._controller.should_query(u)
-        prediction = self.model.classes_[int(np.argmax(proba[0]))]
-        decision = StreamDecision(
-            queried=queried,
-            uncertainty=u,
-            threshold=threshold_used,
-            prediction=prediction,
-        )
-        self.n_seen = self._controller.n_seen
-        self.n_queried = self._controller.n_queried
-        self.threshold = self._controller.threshold
-        return decision
-
-    def feed_label(self, x: np.ndarray, y: object) -> None:
-        """Teach the label of a sample :meth:`observe` decided to query."""
-        if self.model is None:
-            raise RuntimeError("call initialize() first")
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != self._X[0].shape[0]:
-            raise ValueError(
-                f"sample has {x.shape[0]} features, expected {self._X[0].shape[0]}"
-            )
-        self._X.append(x)
-        self._y.append(y)
-        self._pending += 1
-        if self._pending >= self.refit_every:
-            self.model = clone(self.estimator)
-            self.model.fit(np.vstack(self._X), np.asarray(self._y))
-            self._pending = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def query_rate(self) -> float:
-        """Realized fraction of observed samples that were queried."""
-        return self._controller.query_rate
-
-    @property
-    def n_labeled(self) -> int:
-        """Current labeled-set size."""
-        return len(self._y)

@@ -24,6 +24,7 @@ The operational surface a site would actually script against:
 from __future__ import annotations
 
 import argparse
+import pickle
 import sys
 from pathlib import Path
 
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-queries", type=int, default=50)
     p.add_argument("--target-f1", type=float, default=None)
     p.add_argument("--splitter", choices=("exact", "hist"), default="exact",
-                   help="tree split search: exact (reference) or hist "
+                   help="forest split search: exact (reference) or hist "
                         "(histogram-binned, much faster)")
     p.add_argument("--n-jobs", type=int, default=1,
                    help="worker processes for feature extraction and forest "
@@ -195,6 +196,18 @@ def _read_runs(path: Path) -> list | None:
         return None
 
 
+def _read_model(path: Path):
+    """The framework saved at ``path``, or None once the reason
+    :func:`~repro.core.persistence.load_framework` failed is printed."""
+    from .core import load_framework
+
+    try:
+        return load_framework(path)
+    except (OSError, ValueError, EOFError, pickle.UnpicklingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_collect(args) -> int:
     from .datasets import generate_runs
     from .datasets.runs_io import save_runs
@@ -268,9 +281,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from .core import load_framework
-
-    framework = load_framework(args.model)
+    framework = _read_model(args.model)
+    if framework is None:
+        return 2
     runs = _read_runs(args.runs)
     if runs is None:
         return 2
@@ -283,7 +296,6 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .core import load_framework
     from .mlcore import (
         anomaly_miss_rate,
         classification_report,
@@ -291,7 +303,9 @@ def _cmd_evaluate(args) -> int:
         false_alarm_rate,
     )
 
-    framework = load_framework(args.model)
+    framework = _read_model(args.model)
+    if framework is None:
+        return 2
     runs = _read_runs(args.runs)
     if runs is None:
         return 2
@@ -327,7 +341,6 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_registry(args) -> int:
-    from .core import load_framework
     from .serving import ModelRegistry, RegistryError
 
     registry = ModelRegistry(args.root)
@@ -349,7 +362,9 @@ def _cmd_registry(args) -> int:
             if args.model is None:
                 print("registry publish requires --model", file=sys.stderr)
                 return 2
-            framework = load_framework(args.model)
+            framework = _read_model(args.model)
+            if framework is None:
+                return 2
             version = registry.publish(framework, tag=args.tag)
             print(f"published {version.version_id}"
                   + (f" (tag {version.tag})" if version.tag else ""))

@@ -65,10 +65,10 @@ class FrameworkConfig:
         Optional second stopping rule: stop as soon as this test/validation
         F1 is reached.
     splitter:
-        Tree split search for the tree-based families: ``"exact"``
-        (default, the paper-faithful reference path) or ``"hist"``
-        (histogram-binned, much faster; see ``docs/mlcore.md``). Ignored
-        by non-tree models.
+        Forest split search for ``random_forest``: ``"exact"`` (default,
+        the paper-faithful reference path) or ``"hist"`` (histogram-binned,
+        much faster; see ``docs/mlcore.md``). Ignored by the other
+        families.
     n_jobs:
         Worker processes shared by the data plane and the forest: drives
         chunk-wise parallel feature extraction (any model family) and
@@ -131,13 +131,12 @@ class FrameworkConfig:
         """Model parameters with Table IV defaults filled in.
 
         The ``splitter`` / ``n_jobs`` performance knobs are injected for
-        the model families that understand them; an explicit entry in
-        ``model_params`` always wins.
+        ``random_forest``; an explicit entry in ``model_params`` always
+        wins.
         """
         params = default_model_params(self.model)
         params.update(self.model_params)
-        if self.model in ("random_forest", "lgbm"):
-            params.setdefault("splitter", self.splitter)
         if self.model == "random_forest":
+            params.setdefault("splitter", self.splitter)
             params.setdefault("n_jobs", self.n_jobs)
         return params

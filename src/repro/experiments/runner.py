@@ -37,18 +37,10 @@ BASELINE_METHODS = ("random", "equal_app", "proctor")
 ALL_METHODS = STRATEGY_METHODS + BASELINE_METHODS
 
 
-def default_model_factory(
-    seed: int, splitter: str = "exact", n_jobs: int = 1
-) -> RandomForestClassifier:
-    """The paper's production model: a random forest (Table IV tuned).
-
-    ``splitter`` / ``n_jobs`` expose the histogram-binned training core
-    and parallel fitting for benches that need the wall clock; the
-    defaults keep the paper-faithful exact/serial path.
-    """
+def default_model_factory(seed: int) -> RandomForestClassifier:
+    """The paper's production model: a random forest (Table IV tuned)."""
     return RandomForestClassifier(
-        n_estimators=16, max_depth=8, criterion="entropy",
-        splitter=splitter, n_jobs=n_jobs, random_state=seed,
+        n_estimators=16, max_depth=8, criterion="entropy", random_state=seed
     )
 
 

@@ -251,10 +251,6 @@ class Binner:
         """``fit_transform`` bundled with this binner (the fast entry)."""
         return BinnedDataset(self.fit_transform(X), self)
 
-    def bin_dataset(self, X: np.ndarray) -> "BinnedDataset":
-        """Transform ``X`` and bundle the codes with this binner."""
-        return BinnedDataset(self.transform(X), self)
-
 
 class BinnedDataset:
     """A code matrix plus the binner that produced it.
@@ -320,10 +316,6 @@ class BinnedDataset:
     def bin_edges_(self) -> list[np.ndarray]:
         return self.binner.bin_edges_
 
-    def take(self, idx: np.ndarray) -> "BinnedDataset":
-        """Row subset (bootstrap resamples share edges, copy codes)."""
-        return BinnedDataset(self.codes[idx], self.binner)
-
     def append_codes(self, code_rows: np.ndarray) -> "BinnedDataset":
         """New dataset with already-binned rows stacked underneath.
 
@@ -347,7 +339,3 @@ class BinnedDataset:
             )
             return BinnedDataset._from_buffer(forked, forked.n_used, self.binner)
         return BinnedDataset._from_buffer(self._buf, new_n, self.binner)
-
-    def append_rows(self, X_rows: np.ndarray) -> "BinnedDataset":
-        """New dataset with freshly binned ``X_rows`` stacked underneath."""
-        return self.append_codes(self.binner.transform(X_rows))

@@ -441,6 +441,10 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         iteration; finished rows sit on self-looping leaves.
         """
         X = check_array(X)
+        if X.shape[1] != self.n_features_in_:
+            raise ValueError(
+                f"X has {X.shape[1]} features, expected {self.n_features_in_}"
+            )
         rows = np.arange(X.shape[0])[:, None]
         node = np.broadcast_to(
             self._stk_roots, (X.shape[0], len(self.estimators_))

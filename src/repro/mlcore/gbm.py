@@ -27,7 +27,6 @@ from .base import (
     check_X_y,
     encode_labels,
 )
-from .binning import DEFAULT_MAX_BINS, Binner
 
 __all__ = ["LGBMClassifier"]
 
@@ -56,7 +55,6 @@ class _RegressionTree:
         reg_lambda: float,
         min_split_gain: float,
         leaf_wise: bool,
-        edges: list[np.ndarray] | None = None,
     ):
         self.num_leaves = num_leaves
         self.max_depth = max_depth
@@ -64,10 +62,6 @@ class _RegressionTree:
         self.reg_lambda = reg_lambda
         self.min_split_gain = min_split_gain
         self.leaf_wise = leaf_wise
-        # when set, fit() receives the uint8 code matrix and split search
-        # runs on weighted bin histograms; stored thresholds are still the
-        # real-valued edges, so predict() takes raw matrices either way
-        self.edges = edges
 
     # -- split search ---------------------------------------------------
     def _leaf_value(self, g_sum: float, h_sum: float) -> float:
@@ -87,8 +81,6 @@ class _RegressionTree:
         n = len(idx)
         if n < 2 * self.min_child_samples:
             return None
-        if self.edges is not None:
-            return self._best_split_hist(X, g, h, idx, features)
         g_node, h_node = g[idx], h[idx]
         total_score = self._score(g_node.sum(), h_node.sum())
 
@@ -127,65 +119,6 @@ class _RegressionTree:
         j = int(features[fpos])
         go_left = X[idx, j] <= thr
         return _SplitPlan(best_gain, j, float(thr), idx, go_left)
-
-    def _best_split_hist(
-        self,
-        codes: np.ndarray,
-        g: np.ndarray,
-        h: np.ndarray,
-        idx: np.ndarray,
-        features: np.ndarray,
-    ) -> _SplitPlan | None:
-        """Histogram split search over ``uint8`` bin codes.
-
-        Three bincounts (sample count, Σg, Σh) per node replace the
-        per-node argsort: the gain of cutting feature ``j`` at bin ``b``
-        needs only the left-prefix sums of its histogram. Candidate cut
-        ``b`` corresponds to the real threshold ``edges[j][b]``.
-        """
-        n = len(idx)
-        g_node, h_node = g[idx], h[idx]
-        total_score = self._score(g_node.sum(), h_node.sum())
-        f = len(features)
-        n_edges = np.array([len(self.edges[j]) for j in features])
-        nb = int(n_edges.max()) + 1
-        sub = codes[np.ix_(idx, features)].astype(np.int64)
-        flat = (sub + np.arange(f, dtype=np.int64) * nb).ravel()
-        cells = f * nb
-        cnt = np.bincount(flat, minlength=cells).reshape(f, nb)
-        gw = np.bincount(
-            flat, weights=np.repeat(g_node, f), minlength=cells
-        ).reshape(f, nb)
-        hw = np.bincount(
-            flat, weights=np.repeat(h_node, f), minlength=cells
-        ).reshape(f, nb)
-        nl = np.cumsum(cnt, axis=1)[:, :-1]  # (f, nb-1): left-side counts
-        gl = np.cumsum(gw, axis=1)[:, :-1]
-        hl = np.cumsum(hw, axis=1)[:, :-1]
-        gr = g_node.sum() - gl
-        hr = h_node.sum() - hl
-        valid = (
-            (np.arange(nb - 1)[None, :] < n_edges[:, None])
-            & (nl >= self.min_child_samples)
-            & (n - nl >= self.min_child_samples)
-        )
-        if not valid.any():
-            return None
-        gain = (
-            gl * gl / (hl + self.reg_lambda)
-            + gr * gr / (hr + self.reg_lambda)
-            - total_score
-        )
-        gain = np.where(valid, gain, -np.inf)
-        # transpose so argmax breaks ties cut-major, like the exact path
-        cut, fpos = np.unravel_index(int(np.argmax(gain.T)), (nb - 1, f))
-        best_gain = float(gain[fpos, cut])
-        if best_gain <= self.min_split_gain:
-            return None
-        j = int(features[fpos])
-        thr = float(self.edges[j][cut])
-        go_left = codes[idx, j] <= cut
-        return _SplitPlan(best_gain, j, thr, idx, go_left)
 
     # -- growth ----------------------------------------------------------
     def fit(
@@ -291,16 +224,6 @@ class LGBMClassifier(BaseEstimator, ClassifierMixin):
     growth:
         ``"leaf"`` (LightGBM-style, default) or ``"depth"`` — retained for
         the DESIGN.md §5 growth-policy ablation.
-    splitter:
-        ``"exact"`` (default) argsorts candidate features per node;
-        ``"hist"`` quantile-bins the matrix once per fit
-        (:class:`repro.mlcore.binning.Binner`) and searches weighted bin
-        histograms — the real LightGBM's strategy. Boosting reuses the
-        same codes for every round and every per-class tree.
-    max_bins:
-        Bins per feature for the hist splitter (ignored for exact). The
-        GBM keeps the fine 256-bin default: unlike a forest there is no
-        cross-tree averaging to wash out quantization.
     """
 
     def __init__(
@@ -314,8 +237,6 @@ class LGBMClassifier(BaseEstimator, ClassifierMixin):
         min_child_samples: int = 1,
         min_split_gain: float = 1e-12,
         growth: str = "leaf",
-        splitter: str = "exact",
-        max_bins: int = DEFAULT_MAX_BINS,
         random_state: int | np.random.Generator | None = None,
     ):
         self.n_estimators = n_estimators
@@ -327,18 +248,12 @@ class LGBMClassifier(BaseEstimator, ClassifierMixin):
         self.min_child_samples = min_child_samples
         self.min_split_gain = min_split_gain
         self.growth = growth
-        self.splitter = splitter
-        self.max_bins = max_bins
         self.random_state = random_state
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LGBMClassifier":
         """Boost ``n_estimators`` rounds of per-class regression trees."""
         if self.growth not in ("leaf", "depth"):
             raise ValueError(f"growth must be 'leaf' or 'depth', got {self.growth!r}")
-        if self.splitter not in ("exact", "hist"):
-            raise ValueError(
-                f"splitter must be 'exact' or 'hist', got {self.splitter!r}"
-            )
         if not 0.0 < self.colsample_bytree <= 1.0:
             raise ValueError(
                 f"colsample_bytree must be in (0, 1], got {self.colsample_bytree}"
@@ -349,14 +264,6 @@ class LGBMClassifier(BaseEstimator, ClassifierMixin):
         n, m = X.shape
         k = len(self.classes_)
         self.n_features_in_ = m
-        # bin once per fit; every boosting round and per-class tree shares
-        # the same code matrix and edge list
-        edges: list[np.ndarray] | None = None
-        X_split = X
-        if self.splitter == "hist":
-            binner = Binner(self.max_bins)
-            X_split = binner.fit_transform(X)
-            edges = binner.bin_edges_
         onehot = np.zeros((n, k))
         onehot[np.arange(n), codes] = 1.0
 
@@ -381,8 +288,7 @@ class LGBMClassifier(BaseEstimator, ClassifierMixin):
                     reg_lambda=self.reg_lambda,
                     min_split_gain=self.min_split_gain,
                     leaf_wise=self.growth == "leaf",
-                    edges=edges,
-                ).fit(X_split, grad[:, c], hess[:, c], feats)
+                ).fit(X, grad[:, c], hess[:, c], feats)
                 raw[:, c] += self.learning_rate * tree.predict(X)
                 round_trees.append(tree)
             self._trees.append(round_trees)

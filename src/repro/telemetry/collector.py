@@ -88,19 +88,16 @@ class Collector:
         anomaly=None,
         intensity: float = 0.0,
         node_count: int = 4,
-        node_id: int = 0,
         rng: int | np.random.Generator | None = None,
     ) -> RunRecord:
         """Execute one run and return its :class:`RunRecord`.
 
         ``app`` is an :class:`repro.apps.base.AppSignature`; ``anomaly`` an
-        optional :class:`repro.anomalies.base.Anomaly`. Following the paper,
-        an anomaly runs on the *first* allocated node only, so passing
-        ``node_id > 0`` with an anomaly raises.
+        optional :class:`repro.anomalies.base.Anomaly`. The record is
+        node 0's, the first allocated node, where the paper runs the
+        anomaly.
         """
         rng = check_random_state(rng)
-        if anomaly is not None and node_id != 0:
-            raise ValueError("anomalies run on the first allocated node (node_id 0)")
         demand = app.demand_timeline(
             duration, input_deck=input_deck, node_count=node_count, rng=rng
         )
@@ -111,7 +108,7 @@ class Collector:
             app=app.name,
             input_deck=input_deck,
             node_count=node_count,
-            node_id=node_id,
+            node_id=0,
             anomaly=None if anomaly is None else anomaly.name,
             intensity=float(intensity) if anomaly is not None else 0.0,
             data=data,

@@ -1,116 +1,58 @@
-"""Tests for stream-based selective sampling."""
+"""Tests for the stream-sampling threshold controller."""
 
 import numpy as np
 import pytest
 
-from repro.active.stream import StreamActiveLearner
-from repro.mlcore.linear import LogisticRegression
-
-
-def _seed():
-    rng = np.random.default_rng(0)
-    X = np.vstack([rng.normal(-2, 0.4, (8, 2)), rng.normal(2, 0.4, (8, 2))])
-    y = np.array([0] * 8 + [1] * 8)
-    return X, y
-
-
-def _learner(**kwargs):
-    learner = StreamActiveLearner(LogisticRegression(C=10.0), **kwargs)
-    return learner.initialize(*_seed())
+from repro.active.stream import ThresholdController
 
 
 class TestValidation:
     def test_threshold_range(self):
         with pytest.raises(ValueError, match="threshold"):
-            StreamActiveLearner(LogisticRegression(), threshold=1.5)
+            ThresholdController(threshold=1.5)
 
     def test_target_rate_range(self):
         with pytest.raises(ValueError, match="target_rate"):
-            StreamActiveLearner(LogisticRegression(), target_rate=0.0)
-
-    def test_observe_before_initialize(self):
-        learner = StreamActiveLearner(LogisticRegression())
-        with pytest.raises(RuntimeError, match="initialize"):
-            learner.observe(np.zeros(2))
-
-    def test_feed_label_feature_mismatch(self):
-        learner = _learner()
-        with pytest.raises(ValueError, match="features"):
-            learner.feed_label(np.zeros(5), 0)
+            ThresholdController(target_rate=0.0)
 
 
 class TestDecisions:
     def test_confident_sample_passed(self):
-        learner = _learner(threshold=0.35, target_rate=None)
-        decision = learner.observe(np.array([4.0, 4.0]))
-        assert not decision.queried
-        assert decision.prediction == 1
+        controller = ThresholdController(threshold=0.35, target_rate=None)
+        assert not controller.should_query(0.02)
+        assert controller.threshold == 0.35
 
     def test_boundary_sample_queried(self):
-        learner = _learner(threshold=0.35, target_rate=None)
-        decision = learner.observe(np.array([0.0, 0.0]))
-        assert decision.queried
-        assert decision.uncertainty >= 0.35
+        controller = ThresholdController(threshold=0.35, target_rate=None)
+        assert controller.should_query(0.35)
+        assert controller.should_query(0.49)
+        assert controller.threshold == 0.35
 
     def test_counts_track_decisions(self):
-        learner = _learner(target_rate=None)
-        learner.observe(np.array([4.0, 4.0]))
-        learner.observe(np.array([0.0, 0.0]))
-        assert learner.n_seen == 2
-        assert learner.n_queried == 1
-        assert learner.query_rate == 0.5
-
-
-class TestLearning:
-    def test_feed_label_grows_and_refits(self):
-        learner = _learner(target_rate=None)
-        before = learner.n_labeled
-        learner.feed_label(np.array([0.1, 0.1]), 0)
-        assert learner.n_labeled == before + 1
-
-    def test_stream_improves_on_shifted_data(self):
-        """Streaming labels from a drifted region teaches the new region."""
-        rng = np.random.default_rng(1)
-        learner = _learner(threshold=0.2, target_rate=None)
-        # class-1 cluster drifts to a new location
-        drifted = rng.normal((-2, 6), 0.4, size=(60, 2))
-        labels = np.ones(60, dtype=int)
-        wrong_before = np.mean(learner.model.predict(drifted) != labels)
-        for x, y in zip(drifted, labels):
-            if learner.observe(x).queried:
-                learner.feed_label(x, y)
-        wrong_after = np.mean(learner.model.predict(drifted) != labels)
-        assert wrong_after <= wrong_before
-
-    def test_refit_every_batches(self):
-        learner = _learner(target_rate=None, refit_every=3)
-        m0 = learner.model
-        learner.feed_label(np.zeros(2), 0)
-        learner.feed_label(np.zeros(2), 1)
-        assert learner.model is m0
-        learner.feed_label(np.zeros(2), 0)
-        assert learner.model is not m0
+        controller = ThresholdController(target_rate=None)
+        controller.should_query(0.02)
+        controller.should_query(0.49)
+        assert controller.n_seen == 2
+        assert controller.n_queried == 1
+        assert controller.query_rate == 0.5
 
 
 class TestAdaptiveThreshold:
     def test_query_raises_threshold(self):
-        learner = _learner(threshold=0.2, target_rate=0.1)
-        t0 = learner.threshold
-        learner.observe(np.array([0.0, 0.0]))  # uncertain -> queried
-        assert learner.threshold > t0
+        controller = ThresholdController(threshold=0.2, target_rate=0.1)
+        assert controller.should_query(0.45)
+        assert controller.threshold > 0.2
 
     def test_pass_lowers_threshold(self):
-        learner = _learner(threshold=0.5, target_rate=0.1)
-        t0 = learner.threshold
-        learner.observe(np.array([5.0, 5.0]))  # confident -> passed
-        assert learner.threshold < t0
+        controller = ThresholdController(threshold=0.5, target_rate=0.1)
+        assert not controller.should_query(0.01)
+        assert controller.threshold < 0.5
 
     def test_rate_tracks_target_roughly(self):
         rng = np.random.default_rng(2)
-        learner = _learner(threshold=0.3, target_rate=0.2, adapt_step=0.05)
-        for _ in range(400):
-            x = rng.normal(0, 2.5, size=2)
-            decision = learner.observe(x)
-            if decision.queried:
-                learner.feed_label(x, int(x.sum() > 0))
-        assert 0.05 < learner.query_rate < 0.5
+        controller = ThresholdController(
+            threshold=0.3, target_rate=0.2, adapt_step=0.05
+        )
+        for u in rng.uniform(0.0, 0.5, size=400):
+            controller.should_query(float(u))
+        assert abs(controller.query_rate - 0.2) < 0.05

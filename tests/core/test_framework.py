@@ -115,6 +115,16 @@ class TestLifecycle:
             assert 0.0 <= d.confidence <= 1.0
             assert isinstance(d.label, str)
 
+    def test_predict_features_rejects_a_mis_shaped_matrix(self, trained):
+        fw, _, test_runs = trained
+        X = fw.featurize(test_runs[:3])
+        k = X.shape[1]
+        for bad in (X[:, : k - 1], np.hstack([X, X[:, :4]])):
+            with pytest.raises(
+                ValueError, match=f"X has {bad.shape[1]} features, expected {k}"
+            ):
+                fw.predict_features(bad)
+
     def test_diagnose_untrained_raises(self, tiny_config):
         fw = ALBADross(tiny_config.catalog)
         with pytest.raises(RuntimeError, match="not trained"):

@@ -162,6 +162,37 @@ class TestFrameworksSavedWithPanelCap:
         assert restored.diagnose(pool) == fw.diagnose(pool)
 
 
+class TestLGBMSavedWithSplitter:
+    """Frameworks whose GBM stored the retired ``splitter`` / ``max_bins``
+    options (and per-tree ``edges``) load and diagnose bitwise-equal; GBM
+    split search is now always exact."""
+
+    def test_load_predict(self, tiny_config, tmp_path):
+        runs = generate_runs(tiny_config, rng=0)
+        seed, pool = runs[: len(runs) // 2], runs[len(runs) // 2 :]
+        fw = ALBADross(
+            tiny_config.catalog,
+            FrameworkConfig(
+                n_features=30, model="lgbm", model_params={"n_estimators": 5}
+            ),
+        )
+        fw.fit_features(runs)
+        fw.fit_initial(seed, [r.label for r in seed])
+        old = pickle.loads(pickle.dumps(fw))
+        old.model.__dict__.update(splitter="exact", max_bins=256)
+        for round_trees in old.model._trees:
+            for tree in round_trees:
+                tree.__dict__["edges"] = None
+        restored = load_framework(save_framework(old, tmp_path / "old.pkl"))
+
+        X = fw.featurize(pool)
+        assert np.array_equal(
+            restored.model.predict_proba(X), fw.model.predict_proba(X)
+        )
+        assert restored.diagnose(pool) == fw.diagnose(pool)
+        assert clone(restored.model).get_params() == fw.model.get_params()
+
+
 class TestManifestHelpers:
     def test_manifest_is_json_serializable(self, small_framework):
         import json

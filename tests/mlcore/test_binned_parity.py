@@ -12,7 +12,6 @@ import pytest
 
 from repro.mlcore.binning import Binner
 from repro.mlcore.forest import RandomForestClassifier
-from repro.mlcore.gbm import LGBMClassifier
 from repro.mlcore.tree import DecisionTreeClassifier
 
 
@@ -165,24 +164,3 @@ class TestForestDeterminism:
             manual[:, cmap] += tree.predict_proba(X)
         manual /= len(m.estimators_)
         assert np.allclose(m.predict_proba(X), manual, atol=1e-12)
-
-
-class TestGBMParity:
-    def test_decision_function_matches_on_low_cardinality(self):
-        # both splitters see the same candidate thresholds here, but the
-        # gain sums accumulate in different float orders, so gain ties can
-        # resolve differently — scores agree to float noise, not bit-level
-        X, y = _low_cardinality_problem(4, n=250, levels=30)
-        kw = dict(n_estimators=8, num_leaves=15, random_state=0)
-        exact = LGBMClassifier(splitter="exact", **kw).fit(X, y)
-        hist = LGBMClassifier(splitter="hist", max_bins=64, **kw).fit(X, y)
-        assert np.abs(
-            exact.decision_function(X) - hist.decision_function(X)
-        ).max() < 0.1
-        agree = (exact.predict(X) == hist.predict(X)).mean()
-        assert agree >= 0.98
-
-    def test_bad_splitter_rejected(self):
-        X, y = _low_cardinality_problem(0, n=60)
-        with pytest.raises(ValueError, match="splitter"):
-            LGBMClassifier(splitter="fast").fit(X, y)

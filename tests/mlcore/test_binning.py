@@ -136,16 +136,10 @@ class TestBinnedDataset:
         with pytest.raises(ValueError, match="features"):
             BinnedDataset(ds.codes[:, :2], ds.binner)
 
-    def test_take_selects_rows(self):
-        _, ds = self._ds()
-        sub = ds.take(np.array([3, 3, 7]))
-        assert np.array_equal(sub.codes, ds.codes[[3, 3, 7]])
-        assert sub.binner is ds.binner
-
     def test_append_rows_bins_new_rows(self):
         X, ds = self._ds()
         new = np.random.default_rng(9).normal(size=(5, 4))
-        grown = ds.append_rows(new)
+        grown = ds.append_codes(ds.binner.transform(new))
         assert grown.n_samples == 55
         assert np.array_equal(grown.codes[50:], ds.binner.transform(new))
 
@@ -161,7 +155,7 @@ class TestBinnedDataset:
 
 
 class TestGrowthBuffer:
-    """Amortized-doubling append path (append_codes / append_rows)."""
+    """Amortized-doubling append path (append_codes)."""
 
     def _ds(self, n=50, f=4, seed=0):
         X = np.random.default_rng(seed).normal(size=(n, f))
@@ -221,7 +215,7 @@ class TestGrowthBuffer:
     def test_append_rows_still_bins(self):
         X, ds = self._ds()
         new = np.random.default_rng(9).normal(size=(5, 4))
-        grown = ds.append_rows(new)
+        grown = ds.append_codes(ds.binner.transform(new))
         assert grown.n_samples == 55
         assert np.array_equal(grown.codes[50:], ds.binner.transform(new))
 
@@ -240,10 +234,3 @@ class TestGrowthBuffer:
         assert np.array_equal(clone.codes, chain.codes)
         # the pickled buffer carries no spare capacity
         assert len(clone._buf.rows) == clone.n_samples
-
-    def test_take_contract_survives_growth(self):
-        _, ds = self._ds()
-        chain = ds.append_codes(np.ones((3, 4), dtype=np.uint8))
-        sub = chain.take(np.array([0, 52, 1]))
-        assert np.array_equal(sub.codes, chain.codes[[0, 52, 1]])
-        assert np.array_equal(chain.codes_T, chain.codes.T)

@@ -64,6 +64,15 @@ class TestProba:
             Xn
         ).max(axis=1).mean()
 
+    @pytest.mark.parametrize("width", [3, 12])
+    def test_feature_count_mismatch_raises(self, width):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 8))
+        y = (X[:, 0] > 0).astype(int)
+        rf = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
+        with pytest.raises(ValueError, match=f"X has {width} features, expected 8"):
+            rf.predict_proba(np.ones((2, width)))
+
 
 class TestDeterminism:
     def test_same_seed_same_predictions(self, blobs):

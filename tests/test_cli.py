@@ -197,6 +197,46 @@ class TestRefusedArchive:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestUnreadableModel:
+    """A ``--model`` file ``load_framework`` cannot read ends the command
+    with one ``error:`` line and exit code 2, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tiny_config, tmp_path_factory):
+        root = tmp_path_factory.mktemp("unreadable")
+        runs = generate_runs(tiny_config, rng=0)[:4]
+        return {
+            "runs": str(save_runs(runs, root / "runs.npz")),
+            "model": str(root / "missing.pkl"),
+            "root": root,
+        }
+
+    def _refused(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_diagnose(self, paths, capsys):
+        self._refused(["diagnose", "--model", paths["model"],
+                       "--runs", paths["runs"]], capsys)
+
+    def test_evaluate(self, paths, capsys):
+        self._refused(["evaluate", "--model", paths["model"],
+                       "--runs", paths["runs"]], capsys)
+
+    def test_registry_publish(self, paths, capsys):
+        self._refused(["registry", "publish", "--root",
+                       str(paths["root"] / "reg"), "--model", paths["model"]],
+                      capsys)
+
+    @pytest.mark.parametrize("content", [b"", b"not a pickle"])
+    def test_unreadable_file(self, paths, capsys, content, tmp_path):
+        model = tmp_path / "model.pkl"
+        model.write_bytes(content)
+        self._refused(["diagnose", "--model", str(model),
+                       "--runs", paths["runs"]], capsys)
+
+
 class TestInfoEclipse:
     def test_info_eclipse(self, capsys):
         assert main(["info", "--system", "eclipse"]) == 0

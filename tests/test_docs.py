@@ -38,7 +38,9 @@ class TestDottedReferencesResolve:
     DOTTED = re.compile(r"`(repro(?:\.[a-z_]+)+)`")
 
     @pytest.mark.parametrize(
-        "doc", sorted(DOCS.glob("*.md")), ids=lambda p: p.name
+        "doc",
+        sorted(DOCS.glob("*.md")) + [REPO / "README.md", REPO / "DESIGN.md"],
+        ids=lambda p: p.name,
     )
     def test_module_paths_import(self, doc):
         import importlib
@@ -82,9 +84,7 @@ class TestNamedSymbolsExist:
     def test_active_symbols(self):
         from repro.active import (  # noqa: F401
             ActiveLearner,
-            DensityWeightedUncertainty,
-            QueryByCommittee,
-            StreamActiveLearner,
+            ThresholdController,
             run_active_learning,
         )
 
