@@ -11,7 +11,8 @@ Three layers of integrity:
   campaign description (``SystemConfig`` → apps, catalog, node model,
   anomaly/intensity grids, durations) together with the extractor method
   and seed, so any substrate change produces a new key automatically (no
-  more manual ``-v3`` suffix bumps);
+  more manual ``-v3`` suffix bumps); the key cannot see the extractor
+  code, so a change to its output bits bumps ``_FORMAT_VERSION``;
 * **validated loads** — every entry's :func:`dataset_fingerprint` (a hash
   of the feature matrix, metadata arrays, and feature names) is recorded
   in ``manifest.json`` and re-checked on load; a mismatch (truncated or
@@ -44,7 +45,8 @@ __all__ = [
 ]
 
 _META_KEYS = ("labels", "apps", "input_decks", "intensities", "node_counts")
-_FORMAT_VERSION = 2
+# in every key: bump it when the extractors' output bits change
+_FORMAT_VERSION = 3
 
 _LOG = logging.getLogger(__name__)
 

@@ -90,6 +90,7 @@ def bench_dataset(system: str, method: str = "mvts", rng: int = 0) -> FeatureDat
         return ds
 
     # content-addressed name: any change to the campaign description or
-    # extractor invalidates the entry automatically (no manual -vN bumps)
+    # extractor method invalidates the entry automatically; a change to the
+    # extractors' output bits bumps cache._FORMAT_VERSION
     key = config_fingerprint(cfg, method=method, seed=rng)
     return get_or_build(f"{system}-{method}-r{rng}-{key[:12]}", build, CACHE_DIR)

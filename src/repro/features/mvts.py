@@ -371,16 +371,23 @@ def _moments(p: Panel) -> tuple:
     )
 
 
-# skewness and kurtosis each take an elementwise pow() over the panel,
-# the costliest moments by far: each is its own group
+# z**3 and z**4 take numpy's per-lane pow() on negative lanes, ~130 ns
+# each against ~3 ns for a positive base: the powers are exact products
+# instead, in place.
+# Each stays its own group: a read set often takes a moment on columns
+# that need neither, and folded into _moments they would compute z there
 @_group("skew")
 def _skew(p: Panel) -> tuple:
-    return (np.where(p.sd > 1e-18, np.mean(p.z**3, axis=0), 0.0),)
+    cube = p.z * p.z
+    cube *= p.z
+    return (np.where(p.sd > 1e-18, np.mean(cube, axis=0), 0.0),)
 
 
 @_group("kurtosis")
 def _kurtosis(p: Panel) -> tuple:
-    return (np.where(p.sd > 1e-18, np.mean(p.z**4, axis=0) - 3.0, 0.0),)  # excess
+    quad = p.z * p.z
+    quad *= quad
+    return (np.where(p.sd > 1e-18, np.mean(quad, axis=0) - 3.0, 0.0),)  # excess
 
 
 @_group(

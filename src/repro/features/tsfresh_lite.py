@@ -271,12 +271,18 @@ def _spectral_shape(p: TsfreshPanel) -> tuple:
     freqs = p.spectrum[0]
     fdev = freqs[:, None] - p.centroid[None, :]
     psd_norm = p.psd_norm
-    m2 = np.sum(psd_norm * fdev**2, axis=0)
+    sq = fdev * fdev
+    m2 = np.sum(psd_norm * sq, axis=0)
     safe_m2 = np.where(m2 > 1e-18, m2, 1.0)
+    # the 3rd and 4th powers as exact products, not pow() (see mvts._skew)
+    fdev *= sq
+    m3 = np.sum(psd_norm * fdev, axis=0)
+    sq *= sq
+    m4 = np.sum(psd_norm * sq, axis=0)
     return (
         m2,
-        np.where(m2 > 1e-18, np.sum(psd_norm * fdev**3, axis=0) / safe_m2**1.5, 0.0),
-        np.where(m2 > 1e-18, np.sum(psd_norm * fdev**4, axis=0) / safe_m2**2, 0.0),
+        np.where(m2 > 1e-18, m3 / safe_m2**1.5, 0.0),
+        np.where(m2 > 1e-18, m4 / safe_m2**2, 0.0),
     )
 
 

@@ -149,8 +149,9 @@ def extract_mvts_monolithic(X: np.ndarray) -> np.ndarray:
     centered = X - mu
     safe_sd = np.where(sd > 1e-18, sd, 1.0)
     z = centered / safe_sd
-    feats[10] = np.where(sd > 1e-18, np.mean(z**3, axis=0), 0.0)  # skew
-    feats[11] = np.where(sd > 1e-18, np.mean(z**4, axis=0) - 3.0, 0.0)  # ex. kurtosis
+    z2 = z * z
+    feats[10] = np.where(sd > 1e-18, np.mean(z2 * z, axis=0), 0.0)  # skew
+    feats[11] = np.where(sd > 1e-18, np.mean(z2 * z2, axis=0) - 3.0, 0.0)  # ex. kurtosis
     feats[12] = np.sqrt(np.mean(X**2, axis=0))  # rms
     feats[13] = np.mean(np.abs(X), axis=0)
     feats[14] = X.sum(axis=0)
@@ -360,14 +361,15 @@ def extract_tsfresh_monolithic(X: np.ndarray) -> np.ndarray:
     centroid = extra[5]
     fdev = freqs[:, None] - centroid[None, :]
     psd_norm = psd / safe_power
-    m2 = np.sum(psd_norm * fdev**2, axis=0)
+    fdev2 = fdev * fdev
+    m2 = np.sum(psd_norm * fdev2, axis=0)
     safe_m2 = np.where(m2 > 1e-18, m2, 1.0)
     extra[46] = m2
     extra[47] = np.where(
-        m2 > 1e-18, np.sum(psd_norm * fdev**3, axis=0) / safe_m2**1.5, 0.0
+        m2 > 1e-18, np.sum(psd_norm * (fdev2 * fdev), axis=0) / safe_m2**1.5, 0.0
     )
     extra[48] = np.where(
-        m2 > 1e-18, np.sum(psd_norm * fdev**4, axis=0) / safe_m2**2, 0.0
+        m2 > 1e-18, np.sum(psd_norm * (fdev2 * fdev2), axis=0) / safe_m2**2, 0.0
     )
 
     # order statistics / level-crossing families
